@@ -122,7 +122,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=int, help="override the RNG seed")
     sim.add_argument("--dt", type=float, help="override the time step (s)")
     sim.add_argument("--duration", type=float, help="override the duration (s)")
-    sim.add_argument("--workers", type=int, help="parallel force-evaluation threads")
+    sim.add_argument("--workers", type=int,
+                     help="kept for old configs (>= 1); forces always run on one thread")
     sim.add_argument("--out", help="directory for trajectory/metrics/config files")
     sim.set_defaults(func=_cmd_simulate)
 

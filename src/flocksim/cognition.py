@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import InteractionParams, Neighborhood, all_neighborhoods
+from .core import InteractionParams, Neighborhood, all_neighborhoods, require_finite
 
 
 @dataclass(frozen=True)
@@ -31,6 +31,7 @@ class EnergyState:
     c2: float = 0.015
 
     def __post_init__(self):
+        require_finite(self)
         if self.c1 < 0 or self.c2 <= 0:
             raise ValueError("require c1 >= 0 and c2 > 0")
         if self.initial <= 0:
@@ -50,6 +51,7 @@ class AdaptationParams:
     e_th: float = 40.0
 
     def __post_init__(self):
+        require_finite(self)
         if not (0 <= self.delta_min <= self.delta_max):
             raise ValueError("require 0 <= delta_min <= delta_max")
         if not (0 <= self.eta_min <= self.eta_max):

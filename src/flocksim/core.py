@@ -24,6 +24,19 @@ EPS_POS = 1e-9  # m
 EPS_VEL = 1e-9  # m/s
 
 
+def require_finite(spec) -> None:
+    """Raise ValueError unless every field of the dataclass ``spec`` is a
+    finite number (or a tuple of finite numbers)."""
+    for name in spec.__dataclass_fields__:
+        value = getattr(spec, name)
+        try:
+            ok = all(map(math.isfinite, value if isinstance(value, tuple) else (value,)))
+        except TypeError:
+            ok = False
+        if not ok:
+            raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
 class DegeneratePairError(ValueError):
     """Raised when a pair quantity is requested inside a guard band."""
 
@@ -90,6 +103,7 @@ class InteractionParams:
     t_vmax: float = 1.0
 
     def __post_init__(self):
+        require_finite(self)
         if self.delta < 0 or self.eta < 0:
             raise ValueError("delta and eta must be non-negative")
         if self.alpha <= 0 or self.beta <= 0:
@@ -128,6 +142,7 @@ class CuckerSmaleParams:
     gamma: float = 0.5
 
     def __post_init__(self):
+        require_finite(self)
         if self.k_gain <= 0 or self.sigma_cs <= 0:
             raise ValueError("k_gain and sigma_cs must be positive")
         if self.gamma < 0:

@@ -6,19 +6,22 @@ interaction, environment-extended, or the comparison consensus law),
 acceleration rate clamp, semi-implicit Euler integration, velocity
 saturation, and energy integration when an energy block is configured.
 
-Determinism holds for a fixed (config, seed) regardless of the worker
-count: initialization uses per-agent spawned RNG streams, and each
-agent's force is an independent sum over its own sorted neighbor list,
-written into a per-agent slot.
+Determinism holds for a fixed (config, seed): initialization uses
+per-agent spawned RNG streams, and each agent's force is an independent
+sum over its own sorted neighbor list, written into a per-agent slot.
+Forces are evaluated on one thread; the ``workers`` setting is still
+accepted and validated (>= 1) so existing config files load, but it no
+longer parallelises anything and does not change results.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from . import metrics as metrics_mod
 from .cognition import AdaptationParams, EnergyState, apply_adaptation, energy_derivative
@@ -51,6 +54,16 @@ class SimulationNumericsError(RuntimeError):
         )
 
 
+def as_number(value, name: str, integral: bool = False):
+    """A finite float, or an int if ``integral``; bools, non-numbers, NaN,
+    infinities and (if integral) fractions are refused, not coerced."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value) or integral and not float(value).is_integer()):
+        kind = "an integer" if integral else "a finite number"
+        raise ConfigError(f"{name} must be {kind}, got {value!r}")
+    return int(value) if integral else float(value)
+
+
 def _normalize_ranges(value, m: int, name: str) -> tuple[tuple[float, float], ...]:
     """Accept (lo, hi) or one (lo, hi) pair per axis; validate ordering."""
     try:
@@ -61,6 +74,8 @@ def _normalize_ranges(value, m: int, name: str) -> tuple[tuple[float, float], ..
         arr = np.tile(arr, (m, 1))
     if arr.shape != (m, 2):
         raise ConfigError(f"{name}: expected (lo, hi) or {m} per-axis pairs")
+    if not np.isfinite(arr).all():
+        raise ConfigError(f"{name}: bounds must be finite")
     if np.any(arr[:, 0] > arr[:, 1]):
         raise ConfigError(f"{name}: ranges must satisfy lo <= hi")
     return tuple((float(lo), float(hi)) for lo, hi in arr)
@@ -88,6 +103,12 @@ class SimConfig:
     workers: int = 1
 
     def __post_init__(self):
+        for name in ("n", "m", "seed", "workers", "duration", "dt"):
+            integral = name not in ("duration", "dt")
+            object.__setattr__(self, name, as_number(getattr(self, name), name, integral))
+        for name in ("cluttered", "adaptive"):
+            if not isinstance(getattr(self, name), bool):
+                raise ConfigError(f"{name} must be true or false, got {getattr(self, name)!r}")
         if self.n < 2:
             raise ConfigError("need at least two agents")
         if self.m not in (2, 3):
@@ -96,6 +117,8 @@ class SimConfig:
             raise ConfigError("dt must be positive")
         if self.duration < self.dt:
             raise ConfigError("duration must cover at least one step")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
         object.__setattr__(
@@ -198,42 +221,21 @@ def initialize(config: SimConfig) -> World:
 
 def _forces(world: World, nbrs) -> np.ndarray:
     cfg = world.config
-    n = cfg.n
-    acc = np.empty((n, cfg.m))
-
-    if cfg.cucker_smale is not None:
-        def one(i: int):
+    acc = np.empty((cfg.n, cfg.m))
+    for i in range(cfg.n):
+        if cfg.cucker_smale is not None:
             acc[i] = cucker_smale_acceleration(
                 i, world.positions, world.velocities, cfg.cucker_smale
             )
-    elif cfg.cluttered:
-        def one(i: int):
+        elif cfg.cluttered:
             acc[i] = extended_acceleration(
                 i, world.positions, world.velocities, world.params[i],
                 cfg.target, cfg.obstacles, nbrs=nbrs[i],
             )
-    else:
-        def one(i: int):
+        else:
             acc[i] = interaction_acceleration(
                 i, world.positions, world.velocities, world.params[i], nbrs=nbrs[i]
             )
-
-    if cfg.workers == 1:
-        for i in range(n):
-            one(i)
-    else:
-        def chunk(lo: int, hi: int):
-            for i in range(lo, hi):
-                one(i)
-        bounds = np.linspace(0, n, cfg.workers + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            futures = [
-                pool.submit(chunk, int(lo), int(hi))
-                for lo, hi in zip(bounds[:-1], bounds[1:])
-                if hi > lo
-            ]
-            for f in futures:
-                f.result()
     return acc
 
 
@@ -242,8 +244,9 @@ def step(world: World) -> World:
     cfg = world.config
     n = cfg.n
 
-    diff = world.positions[:, None, :] - world.positions[None, :, :]
-    dist = np.linalg.norm(diff, axis=2)
+    # Bit for bit the np.linalg.norm of the pairwise differences, without
+    # allocating the (n, n, m) difference array.
+    dist = cdist(world.positions, world.positions)
     radii = np.array([p.radius for p in world.params])
     nbrs = all_neighborhoods(world.positions, radii, distances=dist)
 

@@ -18,6 +18,7 @@ from .core import (
     InteractionParams,
     Neighborhood,
     interaction_acceleration,
+    require_finite,
 )
 
 
@@ -36,6 +37,7 @@ class TargetSpec:
             raise ValueError("kappa must be non-negative")
         object.__setattr__(self, "position", pos)
         object.__setattr__(self, "kappa", float(self.kappa))
+        require_finite(self)
 
 
 @dataclass(frozen=True)
@@ -61,6 +63,7 @@ class ObstacleSpec:
         if self.sigma_o <= 0:
             raise ValueError("sigma_o must be positive")
         object.__setattr__(self, "center", center)
+        require_finite(self)
 
 
 def rho_weight(distance: float, detection: float, sigma_o: float) -> float:

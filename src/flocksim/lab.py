@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .cognition import AdaptationParams, EnergyState
 from .core import CuckerSmaleParams, InteractionParams
-from .engine import ConfigError, SimConfig, SimulationNumericsError, Trajectory, run
+from .engine import ConfigError, SimConfig, SimulationNumericsError, Trajectory, as_number, run
 from .environment import ObstacleSpec, TargetSpec
 
 # Upper init-range bound for large populations; below 50 agents the
@@ -45,9 +45,11 @@ class SweepSpec:
     breakdown_radius: float = 100.0
 
     def __post_init__(self):
-        object.__setattr__(self, "etas", tuple(float(e) for e in self.etas))
-        object.__setattr__(self, "ns", tuple(int(n) for n in self.ns))
-        object.__setattr__(self, "deltas", tuple(float(d) for d in self.deltas))
+        for name in ("etas", "ns", "deltas"):
+            values = tuple(as_number(x, name, name == "ns") for x in getattr(self, name))
+            object.__setattr__(self, name, values)
+        for name in ("seeds", "duration", "dt", "breakdown_radius"):
+            object.__setattr__(self, name, as_number(getattr(self, name), name, name == "seeds"))
         if not self.etas or not self.ns or not self.deltas:
             raise ConfigError("sweep axes must be nonempty")
         if self.seeds < 1:
@@ -290,7 +292,7 @@ def _dict_to_params(d: dict, where: str) -> InteractionParams:
     _check_keys(d, {"delta", "eta", "alpha", "beta", "radius", "v_max", "t_vmax"}, where)
     try:
         return InteractionParams(**d)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
@@ -355,19 +357,11 @@ _TOP_KEYS = {
 def config_from_dict(doc: dict) -> SimConfig:
     """Inverse of config_to_dict; unknown keys anywhere are errors."""
     _check_keys(doc, _TOP_KEYS, "config")
-    kwargs = {}
-    for key in ("n", "m", "seed", "workers"):
-        if key in doc:
-            kwargs[key] = int(doc[key])
-    for key in ("dt", "duration"):
-        if key in doc:
-            kwargs[key] = float(doc[key])
-    for key in ("init_pos_range", "init_vel_range"):
-        if key in doc:
-            kwargs[key] = doc[key]
-    for key in ("cluttered", "adaptive"):
-        if key in doc:
-            kwargs[key] = bool(doc[key])
+    # Scalars pass through unconverted: SimConfig refuses non-integral
+    # counts, non-finite floats and non-boolean flags instead of coercing.
+    kwargs = {key: doc[key] for key in (
+        "n", "m", "seed", "workers", "dt", "duration", "init_pos_range",
+        "init_vel_range", "cluttered", "adaptive") if key in doc}
     if "params" in doc:
         p = doc["params"]
         if isinstance(p, list):
@@ -382,7 +376,7 @@ def config_from_dict(doc: dict) -> SimConfig:
         try:
             kwargs["target"] = TargetSpec(position=tuple(t["position"]),
                                           kappa=float(t.get("kappa", 0.5)))
-        except ValueError as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"target: {exc}") from exc
     if "obstacles" in doc:
         obs = []
@@ -394,7 +388,7 @@ def config_from_dict(doc: dict) -> SimConfig:
                     detection=float(o["detection"]),
                     sigma_o=float(o.get("sigma_o", 3.0)),
                 ))
-            except (KeyError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigError(f"obstacles[{k}]: {exc}") from exc
         kwargs["obstacles"] = tuple(obs)
     if "energy" in doc and doc["energy"] is not None:
@@ -405,7 +399,7 @@ def config_from_dict(doc: dict) -> SimConfig:
                 energy=float(e["initial"]), initial=float(e["initial"]),
                 c1=float(e.get("c1", 0.15)), c2=float(e.get("c2", 0.015)),
             )
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"energy: {exc}") from exc
     if "adaptation" in doc and doc["adaptation"] is not None:
         a = doc["adaptation"]
@@ -413,14 +407,14 @@ def config_from_dict(doc: dict) -> SimConfig:
                         "k_delta", "k_eta", "e_th"}, "adaptation")
         try:
             kwargs["adaptation"] = AdaptationParams(**{k: float(v) for k, v in a.items()})
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"adaptation: {exc}") from exc
     if "cucker_smale" in doc and doc["cucker_smale"] is not None:
         c = doc["cucker_smale"]
         _check_keys(c, {"k_gain", "sigma_cs", "gamma"}, "cucker_smale")
         try:
             kwargs["cucker_smale"] = CuckerSmaleParams(**{k: float(v) for k, v in c.items()})
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"cucker_smale: {exc}") from exc
     try:
         return SimConfig(**kwargs)
@@ -451,13 +445,15 @@ def sweep_spec_from_dict(doc: dict) -> SweepSpec:
             etas=tuple(doc["etas"]),
             ns=tuple(doc["ns"]),
             deltas=tuple(doc.get("deltas", (1.0,))),
-            seeds=int(doc.get("seeds", 1)),
-            duration=float(doc.get("duration", 30.0)),
-            dt=float(doc.get("dt", 0.1)),
-            breakdown_radius=float(doc.get("breakdown_radius", 100.0)),
+            seeds=doc.get("seeds", 1),
+            duration=doc.get("duration", 30.0),
+            dt=doc.get("dt", 0.1),
+            breakdown_radius=doc.get("breakdown_radius", 100.0),
         )
     except KeyError as exc:
         raise ConfigError(f"sweep spec: missing key {exc}") from exc
+    except TypeError as exc:
+        raise ConfigError(f"sweep spec: {exc}") from exc
 
 
 def load_sweep_spec(path) -> SweepSpec:

@@ -90,3 +90,25 @@ def test_sweep_bad_spec_exits_1(tmp_path, capsys):
     spec.write_text(json.dumps({"etas": [3.0], "ns": [2], "bogus": 1}),
                     encoding="utf-8")
     assert main(["sweep", str(spec), "--out-dir", str(tmp_path)]) == EXIT_CONFIG
+
+
+_BAD_VALUES = {
+    "duration-infinite": '{"n": 4, "duration": Infinity}',
+    "duration-nan": '{"n": 4, "duration": NaN}',
+    "n-fractional": '{"n": 5.7, "duration": 1.0}',
+    "init-range-nan": '{"n": 4, "duration": 1.0, "init_pos_range": [NaN, 1.0]}',
+    "flag-string": '{"n": 4, "duration": 1.0, "adaptive": "false"}',
+    "delta-nan": '{"n": 4, "duration": 1.0, "params": {"delta": NaN}}',
+    "radius-infinite": '{"n": 4, "duration": 1.0, "params": {"radius": Infinity}}',
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+@pytest.mark.parametrize("doc", list(_BAD_VALUES.values()), ids=list(_BAD_VALUES))
+def test_bad_values_exit_1_without_coercion(tmp_path, capsys, command, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(doc, encoding="utf-8")
+    assert main([command, str(path)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "config error:" in captured.err
+    assert "valid" not in captured.out and "ran" not in captured.out

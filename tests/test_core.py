@@ -109,6 +109,9 @@ def test_interaction_params_defaults():
     {"radius": 0.0},
     {"v_max": 0.0},
     {"t_vmax": -1.0},
+    {"delta": float("nan")},
+    {"radius": float("inf")},
+    {"eta": "3"},
 ])
 def test_interaction_params_validation(bad):
     with pytest.raises(ValueError):

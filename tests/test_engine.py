@@ -43,6 +43,16 @@ def test_config_basic_bounds():
         SimConfig(n=5, duration=0.05, dt=0.1)
     with pytest.raises(ConfigError):
         SimConfig(n=5, duration=1.0, workers=0)
+    with pytest.raises(ConfigError):
+        SimConfig(n=5, duration=1.0, seed=-1)
+    # Bad values are refused, not coerced; integral floats are accepted.
+    for bad in (dict(n=5.7), dict(n=True), dict(duration=float("inf")),
+                dict(dt=float("nan")), dict(adaptive="false"),
+                dict(init_vel_range=(float("nan"), 1.0))):
+        with pytest.raises(ConfigError):
+            SimConfig(**{"n": 5, "duration": 1.0, **bad})
+    cfg = SimConfig(n=5.0, duration=1)
+    assert type(cfg.n) is int and type(cfg.duration) is float
 
 
 def test_config_mode_exclusivity():

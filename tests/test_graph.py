@@ -10,7 +10,6 @@ random states.
 import numpy as np
 import pytest
 
-import flocksim.graph as graph_mod
 from flocksim import (
     EPS_POS,
     EPS_VEL,
@@ -29,7 +28,7 @@ from flocksim import (
     weighted_incidence,
 )
 from flocksim.core import all_neighborhoods
-from flocksim.graph import stability_matrices
+from flocksim.graph import _min_sym_eigenvalue, stability_matrices
 
 
 def _two_node_state():
@@ -127,12 +126,11 @@ def test_two_node_weights_and_operators():
     np.testing.assert_allclose(w.w_pos, [0.25, 0.25], rtol=1e-15)
     dvn = np.sqrt(2.0)
     np.testing.assert_allclose(w.w_vel, [3.0 / dvn] * 2, rtol=1e-14)
-    np.testing.assert_allclose(w.w_bar, [[0.75, 1.0], [1.0, 0.75]], rtol=1e-15)
-    # Stacked operator: masked incidence rows scaled per owned edge.
-    want = np.zeros((4, 4))
-    want[0, 0] = want[1, 1] = 0.75
-    want[2, 2] = want[3, 3] = 0.75
-    np.testing.assert_allclose(w.d_bar, want, rtol=1e-15)
+    # B = (D^T kron I)(D_bar): the in-edge rows of D scaled by
+    # 1 - w_pos = 0.75 on each owned edge, so B = D^T diag(0.75) kron I.
+    _, b_mat = stability_matrices(w, g)
+    want = np.kron([[0.75, -0.75], [-0.75, 0.75]], np.eye(2))
+    np.testing.assert_allclose(b_mat, want, rtol=1e-15)
 
 
 def test_edge_weights_match_offset_formula():
@@ -210,25 +208,29 @@ def test_global_rhs_matches_per_agent_law():
                 stacked[i * m:(i + 1) * m], want, atol=1e-9)
 
 
-def test_global_rhs_matrix_free_path(monkeypatch):
+def test_global_rhs_matrix_free_path():
+    # The edge-wise global_rhs and lyapunov_value against the dense
+    # Kronecker products they stand for.
     rng = np.random.default_rng(55)
     pos, vel = _guard_free_config(rng, 12, 2)
     params = _random_params(rng, 12)
-    dense = global_rhs(pos, vel, params)
     g = build_graph(pos, params)
     es = edge_state(g, pos, vel, params)
-    w_dense = weighted_incidence(g, pos, vel, params)
-    v_dense = lyapunov_value(es, w_dense, g)
+    w = weighted_incidence(g, pos, vel, params)
+    eye = np.eye(2)
+    in_rows = np.clip(g.incidence, 0.0, None)  # in-edge rows of D
+    d_bar = np.kron(in_rows * (1.0 - w.w_pos), eye)
+    d_hat = np.kron(in_rows * (1.0 - w.w_vel), eye)
+    dt_kron = np.kron(g.incidence.T, eye)
+    dense = (-d_bar @ (dt_kron @ pos.reshape(-1))
+             - d_hat @ (dt_kron @ vel.reshape(-1)))
+    np.testing.assert_allclose(global_rhs(pos, vel, params), dense, atol=1e-12)
 
-    monkeypatch.setattr(graph_mod, "DENSE_NODE_LIMIT", 0)
-    free = global_rhs(pos, vel, params)
-    w_free = weighted_incidence(g, pos, vel, params)
-    assert w_free.d_bar is None and w_free.d_hat is None
-    v_free = lyapunov_value(es, w_free, g)
-
-    np.testing.assert_allclose(free, dense, atol=1e-12)
-    assert v_free[0] == pytest.approx(v_dense[0], rel=1e-12)
-    assert v_free[1] == pytest.approx(v_dense[1], rel=1e-12)
+    a_mat, b_mat = stability_matrices(w, g)
+    v, v_dot = lyapunov_value(es, w, g)
+    assert v == pytest.approx(
+        0.5 * es.e_dot @ es.e_dot + 0.5 * es.e @ (b_mat @ es.e), rel=1e-12)
+    assert v_dot == pytest.approx(-es.e_dot @ (a_mat @ es.e_dot), rel=1e-12)
 
 
 def test_global_rhs_isolated_agents_zero():
@@ -389,6 +391,61 @@ def test_lyapunov_monitor_dissipates_on_psd_configs():
             if checked >= 10:
                 break
     assert checked >= 10
+
+
+def _psd_certificate_states(rng):
+    """Seeded guard-free states: 2-D/3-D, per-agent radii, delta and eta.
+
+    Every other state draws delta, eta in [0, 0.5] on a small group, where
+    PSD cases occur; every tenth has more than 64 nodes in a sparse layout
+    so the Kronecker reference stays small.
+    """
+    for k in range(200):
+        m = 2 + k % 3 // 2
+        big = k % 10 == 0
+        slow = k % 2 == 1
+        n = int(rng.integers(65, 72)) if big else int(rng.integers(2, 6 if slow else 10))
+        hi = 0.5 if slow else 5.0
+        pos, vel = _guard_free_config(rng, n, m)
+        if big:
+            pos *= 5.0
+        params = [
+            InteractionParams(
+                delta=float(rng.uniform(0.0, hi)),
+                eta=float(rng.uniform(0.0, hi)),
+                alpha=float(rng.choice([1.0, 2.0])),
+                beta=float(rng.choice([1.0, 2.0])),
+                radius=float(rng.uniform(3.0, 6.0) if big else rng.uniform(2.0, 12.0)),
+            )
+            for _ in range(n)
+        ]
+        yield pos, vel, params
+
+
+def test_psd_certificate_matches_kronecker_reference():
+    rng = np.random.default_rng(2024)
+    psd_true = [0, 0]
+    big = 0
+    for pos, vel, params in _psd_certificate_states(rng):
+        g = build_graph(pos, params)
+        if g.n_edges == 0:
+            continue
+        w = weighted_incidence(g, pos, vel, params)
+        report = lyapunov_monitor(pos, vel, params)
+        if g.n_nodes > 64:
+            big += 1
+            assert isinstance(report["a_psd"], bool)
+            assert isinstance(report["b_psd"], bool)
+        mats = stability_matrices(w, g)
+        for k, (mat, weights, key) in enumerate(zip(
+                mats, (1.0 - w.w_vel, 1.0 - w.w_pos), ("a_psd", "b_psd"))):
+            ref = np.linalg.eigvalsh(0.5 * (mat + mat.T))
+            reduced = _min_sym_eigenvalue(g, weights)
+            assert abs(reduced - ref.min()) <= 1e-9 * np.abs(ref).max()
+            assert report[key] == bool(ref.min() >= -1e-10)
+            psd_true[k] += report[key]
+    assert big >= 10
+    assert min(psd_true) >= 5
 
 
 def test_has_spanning_tree_cases():

@@ -141,6 +141,10 @@ def test_sweep_spec_validation():
         SweepSpec(etas=(3.0,), ns=(5,), seeds=0)
     with pytest.raises(ConfigError):
         SweepSpec(etas=(3.0,), ns=(5,), duration=0.05, dt=0.1)
+    for bad in (dict(etas=(math.nan,)), dict(ns=(5.7,)), dict(seeds=1.5),
+                dict(duration=math.inf)):
+        with pytest.raises(ConfigError):
+            SweepSpec(**{"etas": (3.0,), "ns": (5,), **bad})
     assert not SweepSpec(etas=(3.0,), ns=(5,)).has_delta_axis
     assert SweepSpec(etas=(3.0,), ns=(5,), deltas=(0.5, 1.0)).has_delta_axis
 
