@@ -8,6 +8,7 @@ error, 2 numeric failure during integration, 3 I/O failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -41,19 +42,9 @@ def _resolve_scenario(name_or_path: str) -> SimConfig:
 
 def _cmd_simulate(args) -> int:
     config = _resolve_scenario(args.scenario)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.dt is not None:
-        overrides["dt"] = args.dt
-    if args.duration is not None:
-        overrides["duration"] = args.duration
-    if args.workers is not None:
-        overrides["workers"] = args.workers
-    if overrides:
-        import dataclasses
-
-        config = dataclasses.replace(config, **overrides)
+    overrides = {key: getattr(args, key) for key in ("seed", "dt", "duration", "workers")
+                 if getattr(args, key) is not None}
+    config = dataclasses.replace(config, **overrides)
     traj = run(config)
     final = traj.metrics[-1]
     print(

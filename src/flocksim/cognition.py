@@ -15,7 +15,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import InteractionParams, Neighborhood, all_neighborhoods, require_finite
+from .core import InteractionParams, Neighborhood, require_finite
+from .graph import InteractionGraph, build_graph
 
 
 @dataclass(frozen=True)
@@ -123,28 +124,31 @@ def apply_adaptation(
     energies: np.ndarray,
     params_list: list[InteractionParams],
     adaptation: AdaptationParams,
-    nbrs_list: list[Neighborhood] | None = None,
+    g: InteractionGraph | None = None,
 ) -> list[InteractionParams]:
     """Recompute every agent's (delta, eta) from the current snapshot.
 
-    Thresholds are evaluated against the passed-in energies for all
-    agents first, so the update order cannot leak into the result.
+    adaptive_threshold's mu and minimum come from counts and minima over
+    the in-edges of ``g`` (built if omitted), all from the passed-in
+    energies, so the update order cannot leak into the result.
     """
     positions = np.asarray(positions, dtype=float)
     energies = np.asarray(energies, dtype=float)
     n = positions.shape[0]
     if len(params_list) != n or energies.shape[0] != n:
         raise ValueError("positions, energies and params must agree on n")
-    if nbrs_list is None:
-        nbrs_list = all_neighborhoods(positions, [p.radius for p in params_list])
-    out = []
-    for i in range(n):
-        thr = adaptive_threshold(energies, nbrs_list[i], adaptation.e_th)
-        out.append(
-            replace(
-                params_list[i],
-                delta=adaptive_delta(float(energies[i]), thr, adaptation),
-                eta=adaptive_eta(float(energies[i]), thr, adaptation),
-            )
-        )
-    return out
+    if g is None:
+        g = build_graph(positions, params_list)
+    e_th = adaptation.e_th
+    count = g.in_degrees()
+    seen = energies[g.sources]
+    low = np.bincount(g.receivers[seen < e_th], minlength=n)
+    e_min = np.full(n, np.inf)
+    np.minimum.at(e_min, g.receivers, seen)
+    has = count > 0
+    thr = np.full(n, float(e_th))
+    thr[has] = e_th - low[has] / count[has] * (e_th - e_min[has])
+    return [
+        replace(p, delta=adaptive_delta(e, t, adaptation), eta=adaptive_eta(e, t, adaptation))
+        for p, e, t in zip(params_list, energies.tolist(), thr.tolist())
+    ]

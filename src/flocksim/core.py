@@ -19,7 +19,8 @@ import numpy as np
 
 # Guard thresholds for degenerate pair geometry.  Below EPS_POS two
 # agents count as coincident; below EPS_VEL a relative velocity counts
-# as zero and the alignment term is dropped for that pair.
+# as zero and the alignment term is dropped for that pair.  A pair at
+# exactly a threshold is regular in every layer.
 EPS_POS = 1e-9  # m
 EPS_VEL = 1e-9  # m/s
 
@@ -162,23 +163,17 @@ def neighborhood(i: int, positions: np.ndarray, radius: float) -> Neighborhood:
     return Neighborhood(tuple(members))
 
 
-def all_neighborhoods(
-    positions: np.ndarray,
-    radii,
-    distances: np.ndarray | None = None,
-) -> list[Neighborhood]:
+def all_neighborhoods(positions: np.ndarray, radii) -> list[Neighborhood]:
     """Neighborhoods of every agent in one pass.
 
-    ``radii`` is a scalar or per-agent sequence; ``distances`` may carry a
-    precomputed dense pairwise distance matrix to avoid recomputation.
-    Neighborhoods are directed when radii differ between agents.
+    ``radii`` is a scalar or per-agent sequence.  Neighborhoods are
+    directed when radii differ between agents.
     """
     positions = np.asarray(positions, dtype=float)
     n = positions.shape[0]
     radii_arr = np.broadcast_to(np.asarray(radii, dtype=float), (n,))
-    if distances is None:
-        diff = positions[:, None, :] - positions[None, :, :]
-        distances = np.linalg.norm(diff, axis=2)
+    diff = positions[:, None, :] - positions[None, :, :]
+    distances = np.linalg.norm(diff, axis=2)
     out = []
     for i in range(n):
         mask = distances[i] <= radii_arr[i]
@@ -302,13 +297,19 @@ def offset_vectors(
     dv = velocities[j] - velocities[i]
     dist = float(np.linalg.norm(dp))
     dvn = float(np.linalg.norm(dv))
-    if dist <= EPS_POS:
+    if dist < EPS_POS:
         raise DegeneratePairError(i, j, "position")
-    if dvn <= EPS_VEL:
+    if dvn < EPS_VEL:
         raise DegeneratePairError(i, j, "velocity")
     p_off = (params.delta * k / dist) ** params.alpha * dp
     v_off = (params.eta / (k * dvn)) ** params.beta * dv
     return p_off, v_off
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each row of x, bit for bit: one dot product per row,
+    as the 1-D norm takes; norm(x, axis=1) can differ in the last bit."""
+    return np.sqrt(np.vecdot(x, x))
 
 
 def saturate_velocity(velocity: np.ndarray, v_max: float) -> np.ndarray:

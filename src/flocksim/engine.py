@@ -1,17 +1,19 @@
 """Deterministic time-stepping engine.
 
-A step applies, in order: parameter adaptation (adaptive runs, from the
-beginning-of-step snapshot), neighborhood rebuild, force assembly (plain
-interaction, environment-extended, or the comparison consensus law),
-acceleration rate clamp, semi-implicit Euler integration, velocity
-saturation, and energy integration when an energy block is configured.
+run() builds one pairwise distance matrix and one neighbor graph (a
+receiver-sorted edge list) per snapshot; that snapshot's metrics and
+the next step share them, since adaptation never changes radii.  A step
+applies, in order: parameter adaptation (adaptive runs), force assembly
+(the graph layer's edge kernel, plus target and obstacle terms in
+cluttered runs, or the comparison consensus law), acceleration rate
+clamp, semi-implicit Euler integration, velocity saturation, and energy
+integration when an energy block is configured.  Each stage works on
+(n, m) arrays and reproduces the per-agent functions bit for bit.
 
 Determinism holds for a fixed (config, seed): initialization uses
-per-agent spawned RNG streams, and each agent's force is an independent
-sum over its own sorted neighbor list, written into a per-agent slot.
-Forces are evaluated on one thread; the ``workers`` setting is still
-accepted and validated (>= 1) so existing config files load, but it no
-longer parallelises anything and does not change results.
+per-agent spawned RNG streams, and each agent's force sums its in-edges
+in source order.  ``workers`` is still accepted and validated (>= 1) so
+existing config files load, but it selects nothing.
 """
 
 from __future__ import annotations
@@ -24,19 +26,19 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from . import metrics as metrics_mod
-from .cognition import AdaptationParams, EnergyState, apply_adaptation, energy_derivative
+from .cognition import AdaptationParams, EnergyState, apply_adaptation
 from .core import (
     EPS_POS,
-    CuckerSmaleParams,
     AgentState,
+    CuckerSmaleParams,
     InteractionParams,
-    all_neighborhoods,
+    PairNumericsError,
+    _row_norms,
     cucker_smale_acceleration,
-    interaction_acceleration,
-    rate_limit,
     saturate_velocity,
 )
-from .environment import ObstacleSpec, TargetSpec, extended_acceleration
+from .environment import ObstacleSpec, TargetSpec, add_environment_terms
+from .graph import InteractionGraph, build_graph, interaction_accelerations
 
 
 class ConfigError(ValueError):
@@ -121,14 +123,8 @@ class SimConfig:
             raise ConfigError("seed must be non-negative")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
-        object.__setattr__(
-            self, "init_pos_range",
-            _normalize_ranges(self.init_pos_range, self.m, "init_pos_range"),
-        )
-        object.__setattr__(
-            self, "init_vel_range",
-            _normalize_ranges(self.init_vel_range, self.m, "init_vel_range"),
-        )
+        for name in ("init_pos_range", "init_vel_range"):
+            object.__setattr__(self, name, _normalize_ranges(getattr(self, name), self.m, name))
         if not isinstance(self.params, InteractionParams):
             blocks = tuple(self.params)
             if len(blocks) != self.n:
@@ -219,78 +215,77 @@ def initialize(config: SimConfig) -> World:
     )
 
 
-def _forces(world: World, nbrs) -> np.ndarray:
+def neighbors(world: World) -> tuple[np.ndarray, InteractionGraph]:
+    """Pairwise distances and neighbor graph of the world's current snapshot."""
+    # cdist is bit for bit the np.linalg.norm of the pairwise differences,
+    # without allocating the (n, n, m) difference array.
+    dist = cdist(world.positions, world.positions)
+    return dist, build_graph(world.positions, world.params, distances=dist)
+
+
+def _forces(world: World, g: InteractionGraph) -> np.ndarray:
     cfg = world.config
-    acc = np.empty((cfg.n, cfg.m))
-    for i in range(cfg.n):
-        if cfg.cucker_smale is not None:
-            acc[i] = cucker_smale_acceleration(
-                i, world.positions, world.velocities, cfg.cucker_smale
-            )
-        elif cfg.cluttered:
-            acc[i] = extended_acceleration(
-                i, world.positions, world.velocities, world.params[i],
-                cfg.target, cfg.obstacles, nbrs=nbrs[i],
-            )
-        else:
-            acc[i] = interaction_acceleration(
-                i, world.positions, world.velocities, world.params[i], nbrs=nbrs[i]
-            )
+    if cfg.cucker_smale is not None:
+        return np.array([
+            cucker_smale_acceleration(i, world.positions, world.velocities, cfg.cucker_smale)
+            for i in range(cfg.n)
+        ])
+    acc = interaction_accelerations(g, world.positions, world.velocities, world.params)
+    if cfg.cluttered:
+        acc = add_environment_terms(acc, world.positions, cfg.target, cfg.obstacles)
     return acc
 
 
-def step(world: World) -> World:
-    """Advance one dt; mutates and returns the same World."""
-    cfg = world.config
-    n = cfg.n
+def step(world: World, snapshot: tuple[np.ndarray, InteractionGraph] | None = None) -> World:
+    """Advance one dt; mutates and returns the same World.
 
-    # Bit for bit the np.linalg.norm of the pairwise differences, without
-    # allocating the (n, n, m) difference array.
-    dist = cdist(world.positions, world.positions)
-    radii = np.array([p.radius for p in world.params])
-    nbrs = all_neighborhoods(world.positions, radii, distances=dist)
+    ``snapshot`` is neighbors(world) if the caller has it (run shares it
+    with the snapshot's metrics).  A non-finite force or state raises
+    SimulationNumericsError.
+    """
+    cfg = world.config
+    dist, g = neighbors(world) if snapshot is None else snapshot
 
     if cfg.adaptive:
         world.params = apply_adaptation(
-            world.positions, world.energies, world.params, cfg.adaptation,
-            nbrs_list=nbrs,
+            world.positions, world.energies, world.params, cfg.adaptation, g=g,
         )
 
-    iu = np.triu_indices(n, k=1)
-    close = dist[iu] < EPS_POS
-    if close.any():
-        for a, b in zip(iu[0][close].tolist(), iu[1][close].tolist()):
-            world.events.append(Event(
-                step=world.step_index + 1, time=world.time, kind="coincident_pair",
-                agents=(a, b), detail="separation impulse applied",
-            ))
+    for a, b in zip(*np.nonzero(np.triu(dist < EPS_POS, 1))):
+        world.events.append(Event(
+            step=world.step_index + 1, time=world.time, kind="coincident_pair",
+            agents=(int(a), int(b)), detail="separation impulse applied",
+        ))
 
-    acc = _forces(world, nbrs)
-    for i in range(n):
-        acc[i] = rate_limit(acc[i], world.params[i].s)
+    try:
+        acc = _forces(world, g)
+    except PairNumericsError as exc:
+        raise SimulationNumericsError(world.step_index + 1, exc.i) from exc
+    limit = np.array([p.s for p in world.params])
+    norm = _row_norms(acc)
+    over = norm > limit
+    acc[over] = (limit[over] / norm[over])[:, None] * acc[over]
 
     world.velocities = world.velocities + acc * cfg.dt
     world.positions = world.positions + world.velocities * cfg.dt
     # The smooth cap engages only above v_max: repeated sub-limit
     # application would act as drag and bleed the group's momentum.
-    for i in range(n):
-        if float(np.linalg.norm(world.velocities[i])) > world.params[i].v_max:
-            world.velocities[i] = saturate_velocity(
-                world.velocities[i], world.params[i].v_max
-            )
+    v_max = np.array([p.v_max for p in world.params])
+    for i in np.flatnonzero(_row_norms(world.velocities) > v_max).tolist():
+        world.velocities[i] = saturate_velocity(world.velocities[i], world.params[i].v_max)
 
     if world.energies is not None:
         e = world.config.energy
-        for i in range(n):
-            world.energies[i] += cfg.dt * energy_derivative(acc[i], e.c1, e.c2)
-        for i in np.nonzero(world.energies < 0)[0]:
-            if int(i) not in world._energy_warned:
-                world._energy_warned.add(int(i))
-                world.events.append(Event(
-                    step=world.step_index + 1, time=world.time + cfg.dt,
-                    kind="negative_energy", agents=(int(i),),
-                    detail=f"energy {world.energies[i]:.3f}",
-                ))
+        # energy_derivative per agent: -c1 * ||a||^2 - c2.
+        world.energies += cfg.dt * (-e.c1 * np.vecdot(acc, acc) - e.c2)
+        fresh = set(np.flatnonzero(world.energies < 0).tolist()) - world._energy_warned
+        for i in sorted(fresh):
+            world._energy_warned.add(i)
+            world.events.append(Event(
+                step=world.step_index + 1, time=world.time + cfg.dt,
+                kind="negative_energy", agents=(i,),
+                detail=f"energy {world.energies[i]:.3f}",
+            ))
 
     world.time += cfg.dt
     world.step_index += 1
@@ -349,14 +344,17 @@ def run(config: SimConfig) -> Trajectory:
             etas[k] = [p.eta for p in world.params]
         if energies is not None:
             energies[k] = world.energies
+        dist, g = snapshot = neighbors(world)
         samples.append(metrics_mod.sample_metrics(
-            world.time, world.positions, world.velocities, world.params
+            world.time, world.positions, world.velocities, world.params,
+            g=g, distances=dist,
         ))
+        return snapshot
 
-    record(0)
+    snapshot = record(0)
     for k in range(1, steps + 1):
-        step(world)
-        record(k)
+        step(world, snapshot)
+        snapshot = record(k)
     return Trajectory(
         config=config,
         times=times,

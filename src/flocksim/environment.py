@@ -4,7 +4,8 @@ The extended acceleration adds a linear pull toward a fixed target and,
 for every obstacle within detection range, a repulsive push weighted by
 ``rho = min(0, 1 - (c/d)^sigma_o)``: zero outside the detection radius
 ``c`` by construction of the min, and strongly negative close to the
-obstacle center.
+obstacle center.  add_environment_terms applies extended_acceleration's
+terms to every agent at once.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from .core import (
     EPS_POS,
     InteractionParams,
     Neighborhood,
+    _row_norms,
     interaction_acceleration,
     require_finite,
 )
@@ -115,4 +117,23 @@ def extended_acceleration(
         to_center = np.asarray(o.center) - p
         d = float(np.linalg.norm(to_center))
         acc = acc + rho_weight(d, o.detection, o.sigma_o) * to_center
+    return acc
+
+
+def add_environment_terms(acc: np.ndarray, positions: np.ndarray,
+                          target: TargetSpec | None, obstacles=()) -> np.ndarray:
+    """Interaction accelerations ``acc`` (n, m) plus each agent's target pull
+    and obstacle pushes: row i is extended_acceleration(i, ...) bit for bit
+    (same term order, kappa == 0 skipped, rho_weight per detected pair)."""
+    positions = np.asarray(positions, dtype=float)
+    acc = np.array(acc, dtype=float)
+    if target is not None and target.kappa != 0.0:
+        acc = acc + target.kappa * (np.asarray(target.position) - positions)
+    for o in obstacles:
+        to_center = np.asarray(o.center) - positions
+        dist = _row_norms(to_center)
+        hit = np.flatnonzero(dist <= o.detection)
+        if hit.size:
+            rho = np.array([rho_weight(d, o.detection, o.sigma_o) for d in dist[hit].tolist()])
+            acc[hit] = acc[hit] + rho[:, None] * to_center[hit]
     return acc

@@ -9,9 +9,11 @@ silently running a different experiment.  All exports are plain CSV
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import os
 from dataclasses import dataclass
+from itertools import product
 
 from .cognition import AdaptationParams, EnergyState
 from .core import CuckerSmaleParams, InteractionParams
@@ -242,58 +244,37 @@ def sweep(spec: SweepSpec) -> tuple[list[SweepRow], list[str]]:
     """
     rows: list[SweepRow] = []
     failures: list[str] = []
-    for eta in spec.etas:
-        for n in spec.ns:
-            for delta in spec.deltas:
-                for seed in range(spec.seeds):
-                    cfg = SimConfig(
-                        n=n,
-                        duration=spec.duration,
-                        dt=spec.dt,
-                        seed=seed,
-                        init_pos_range=(0.0, init_upper_for(n)),
-                        init_vel_range=(-1.0, 1.0),
-                        params=InteractionParams(delta=delta, eta=eta),
-                    )
-                    try:
-                        traj = run(cfg)
-                    except SimulationNumericsError as exc:
-                        failures.append(
-                            f"eta={eta} n={n} delta={delta} seed={seed}: {exc}"
-                        )
-                        continue
-                    final = traj.metrics[-1]
-                    d_min_overall = min(s.d_min for s in traj.metrics)
-                    rows.append(SweepRow(
-                        eta=eta,
-                        n=n,
-                        seed=seed,
-                        h_final=final.h,
-                        r_agg_final=final.r_agg,
-                        d_min_overall=d_min_overall,
-                        aggregation_lost=final.r_agg > spec.breakdown_radius,
-                        delta=delta,
-                    ))
+    for eta, n, delta, seed in product(spec.etas, spec.ns, spec.deltas, range(spec.seeds)):
+        cfg = SimConfig(
+            n=n,
+            duration=spec.duration,
+            dt=spec.dt,
+            seed=seed,
+            init_pos_range=(0.0, init_upper_for(n)),
+            init_vel_range=(-1.0, 1.0),
+            params=InteractionParams(delta=delta, eta=eta),
+        )
+        try:
+            traj = run(cfg)
+        except SimulationNumericsError as exc:
+            failures.append(f"eta={eta} n={n} delta={delta} seed={seed}: {exc}")
+            continue
+        final = traj.metrics[-1]
+        rows.append(SweepRow(
+            eta=eta,
+            n=n,
+            seed=seed,
+            h_final=final.h,
+            r_agg_final=final.r_agg,
+            d_min_overall=min(s.d_min for s in traj.metrics),
+            aggregation_lost=final.r_agg > spec.breakdown_radius,
+            delta=delta,
+        ))
     return rows, failures
 
 
 # ---------------------------------------------------------------------------
 # Config serialization
-
-
-def _params_to_dict(p: InteractionParams) -> dict:
-    return {
-        "delta": p.delta, "eta": p.eta, "alpha": p.alpha, "beta": p.beta,
-        "radius": p.radius, "v_max": p.v_max, "t_vmax": p.t_vmax,
-    }
-
-
-def _dict_to_params(d: dict, where: str) -> InteractionParams:
-    _check_keys(d, {"delta", "eta", "alpha", "beta", "radius", "v_max", "t_vmax"}, where)
-    try:
-        return InteractionParams(**d)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _check_keys(d: dict, allowed: set, where: str):
@@ -304,59 +285,58 @@ def _check_keys(d: dict, allowed: set, where: str):
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
 
 
-def config_to_dict(cfg: SimConfig) -> dict:
-    """JSON-ready mapping; optional blocks appear only when configured."""
-    doc = {
-        "n": cfg.n,
-        "m": cfg.m,
-        "dt": cfg.dt,
-        "duration": cfg.duration,
-        "seed": cfg.seed,
-        "init_pos_range": [list(pair) for pair in cfg.init_pos_range],
-        "init_vel_range": [list(pair) for pair in cfg.init_vel_range],
-        "workers": cfg.workers,
-        "cluttered": cfg.cluttered,
-        "adaptive": cfg.adaptive,
-    }
-    if isinstance(cfg.params, InteractionParams):
-        doc["params"] = _params_to_dict(cfg.params)
-    else:
-        doc["params"] = [_params_to_dict(p) for p in cfg.params]
-    if cfg.target is not None:
-        doc["target"] = {"position": list(cfg.target.position), "kappa": cfg.target.kappa}
-    if cfg.obstacles:
-        doc["obstacles"] = [
-            {"center": list(o.center), "radius": o.radius,
-             "detection": o.detection, "sigma_o": o.sigma_o}
-            for o in cfg.obstacles
-        ]
-    if cfg.energy is not None:
-        doc["energy"] = {"initial": cfg.energy.initial, "c1": cfg.energy.c1,
-                         "c2": cfg.energy.c2}
-    if cfg.adaptation is not None:
-        a = cfg.adaptation
-        doc["adaptation"] = {
-            "delta_min": a.delta_min, "delta_max": a.delta_max,
-            "eta_min": a.eta_min, "eta_max": a.eta_max,
-            "k_delta": a.k_delta, "k_eta": a.k_eta, "e_th": a.e_th,
-        }
-    if cfg.cucker_smale is not None:
-        c = cfg.cucker_smale
-        doc["cucker_smale"] = {"k_gain": c.k_gain, "sigma_cs": c.sigma_cs,
-                               "gamma": c.gamma}
-    return doc
+def _read_block(cls, doc, where: str, **copies):
+    """``cls`` built from the JSON mapping ``doc``, one key per dataclass field.
+
+    Every value must be a finite number (a list of them for tuple fields),
+    checked by ``as_number``, never coerced; fields with defaults may be
+    left out.  ``copies`` maps a field the document does not carry to the
+    key whose value it takes (energy's current value is its initial one).
+    """
+    fields = [f for f in dataclasses.fields(cls) if f.name not in copies]
+    _check_keys(doc, {f.name for f in fields}, where)
+    kwargs = {}
+    for f in fields:
+        name = f"{where}.{f.name}"
+        if f.name not in doc:
+            if f.default is dataclasses.MISSING:
+                raise ConfigError(f"{where}: missing key {f.name!r}")
+        elif str(f.type).startswith("tuple"):
+            if not isinstance(doc[f.name], (list, tuple)):
+                raise ConfigError(f"{name} must be a list of numbers, got {doc[f.name]!r}")
+            kwargs[f.name] = tuple(as_number(x, name) for x in doc[f.name])
+        else:
+            kwargs[f.name] = as_number(doc[f.name], name)
+    kwargs.update({field: kwargs[key] for field, key in copies.items()})
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
-_TOP_KEYS = {
+# Keys of a config document, in the order they are written.
+_TOP_KEYS = (
     "n", "m", "dt", "duration", "seed", "init_pos_range", "init_vel_range",
     "workers", "cluttered", "adaptive", "params", "target", "obstacles",
     "energy", "adaptation", "cucker_smale",
-}
+)
+
+
+def config_to_dict(cfg: SimConfig) -> dict:
+    """JSON-ready mapping; optional blocks appear only when configured."""
+    full = dataclasses.asdict(cfg)
+    if cfg.energy is not None:
+        del full["energy"]["energy"]  # not configuration: a run starts at initial
+    doc = {key: full[key] for key in _TOP_KEYS if full[key] is not None and full[key] != ()}
+    for key in ("params", "obstacles"):  # per-agent blocks and obstacles are lists
+        if isinstance(doc.get(key), tuple):
+            doc[key] = list(doc[key])
+    return doc
 
 
 def config_from_dict(doc: dict) -> SimConfig:
     """Inverse of config_to_dict; unknown keys anywhere are errors."""
-    _check_keys(doc, _TOP_KEYS, "config")
+    _check_keys(doc, set(_TOP_KEYS), "config")
     # Scalars pass through unconverted: SimConfig refuses non-integral
     # counts, non-finite floats and non-boolean flags instead of coercing.
     kwargs = {key: doc[key] for key in (
@@ -366,56 +346,24 @@ def config_from_dict(doc: dict) -> SimConfig:
         p = doc["params"]
         if isinstance(p, list):
             kwargs["params"] = tuple(
-                _dict_to_params(b, f"params[{k}]") for k, b in enumerate(p)
+                _read_block(InteractionParams, b, f"params[{k}]") for k, b in enumerate(p)
             )
         else:
-            kwargs["params"] = _dict_to_params(p, "params")
-    if "target" in doc and doc["target"] is not None:
-        t = doc["target"]
-        _check_keys(t, {"position", "kappa"}, "target")
-        try:
-            kwargs["target"] = TargetSpec(position=tuple(t["position"]),
-                                          kappa=float(t.get("kappa", 0.5)))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"target: {exc}") from exc
+            kwargs["params"] = _read_block(InteractionParams, p, "params")
+    if doc.get("target") is not None:
+        kwargs["target"] = _read_block(TargetSpec, doc["target"], "target")
     if "obstacles" in doc:
-        obs = []
-        for k, o in enumerate(doc["obstacles"]):
-            _check_keys(o, {"center", "radius", "detection", "sigma_o"}, f"obstacles[{k}]")
-            try:
-                obs.append(ObstacleSpec(
-                    center=tuple(o["center"]), radius=float(o["radius"]),
-                    detection=float(o["detection"]),
-                    sigma_o=float(o.get("sigma_o", 3.0)),
-                ))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ConfigError(f"obstacles[{k}]: {exc}") from exc
-        kwargs["obstacles"] = tuple(obs)
-    if "energy" in doc and doc["energy"] is not None:
-        e = doc["energy"]
-        _check_keys(e, {"initial", "c1", "c2"}, "energy")
-        try:
-            kwargs["energy"] = EnergyState(
-                energy=float(e["initial"]), initial=float(e["initial"]),
-                c1=float(e.get("c1", 0.15)), c2=float(e.get("c2", 0.015)),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"energy: {exc}") from exc
-    if "adaptation" in doc and doc["adaptation"] is not None:
-        a = doc["adaptation"]
-        _check_keys(a, {"delta_min", "delta_max", "eta_min", "eta_max",
-                        "k_delta", "k_eta", "e_th"}, "adaptation")
-        try:
-            kwargs["adaptation"] = AdaptationParams(**{k: float(v) for k, v in a.items()})
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"adaptation: {exc}") from exc
-    if "cucker_smale" in doc and doc["cucker_smale"] is not None:
-        c = doc["cucker_smale"]
-        _check_keys(c, {"k_gain", "sigma_cs", "gamma"}, "cucker_smale")
-        try:
-            kwargs["cucker_smale"] = CuckerSmaleParams(**{k: float(v) for k, v in c.items()})
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"cucker_smale: {exc}") from exc
+        if not isinstance(doc["obstacles"], list):
+            raise ConfigError(f"obstacles must be a list, got {doc['obstacles']!r}")
+        kwargs["obstacles"] = tuple(
+            _read_block(ObstacleSpec, o, f"obstacles[{k}]")
+            for k, o in enumerate(doc["obstacles"])
+        )
+    if doc.get("energy") is not None:
+        kwargs["energy"] = _read_block(EnergyState, doc["energy"], "energy", energy="initial")
+    for name, cls in (("adaptation", AdaptationParams), ("cucker_smale", CuckerSmaleParams)):
+        if doc.get(name) is not None:
+            kwargs[name] = _read_block(cls, doc[name], name)
     try:
         return SimConfig(**kwargs)
     except TypeError as exc:
@@ -428,41 +376,24 @@ def save_config(cfg: SimConfig, path) -> None:
         fh.write("\n")
 
 
-def load_config(path) -> SimConfig:
+def _load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
-    return config_from_dict(doc)
+
+
+def load_config(path) -> SimConfig:
+    return config_from_dict(_load_json(path))
 
 
 def sweep_spec_from_dict(doc: dict) -> SweepSpec:
-    _check_keys(doc, {"etas", "ns", "deltas", "seeds", "duration", "dt",
-                      "breakdown_radius"}, "sweep spec")
-    try:
-        return SweepSpec(
-            etas=tuple(doc["etas"]),
-            ns=tuple(doc["ns"]),
-            deltas=tuple(doc.get("deltas", (1.0,))),
-            seeds=doc.get("seeds", 1),
-            duration=doc.get("duration", 30.0),
-            dt=doc.get("dt", 0.1),
-            breakdown_radius=doc.get("breakdown_radius", 100.0),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"sweep spec: missing key {exc}") from exc
-    except TypeError as exc:
-        raise ConfigError(f"sweep spec: {exc}") from exc
+    return _read_block(SweepSpec, doc, "sweep spec")
 
 
 def load_sweep_spec(path) -> SweepSpec:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
-    return sweep_spec_from_dict(doc)
+    return sweep_spec_from_dict(_load_json(path))
 
 
 # ---------------------------------------------------------------------------

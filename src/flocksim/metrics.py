@@ -10,10 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import pdist
+from scipy.spatial.distance import pdist, squareform
 
 from .core import EPS_VEL
-from .graph import edge_errors
+from .graph import InteractionGraph, edge_errors
 
 
 @dataclass(frozen=True)
@@ -64,28 +64,32 @@ def aggregation_radius(positions: np.ndarray) -> float:
     return float(np.linalg.norm(p - centroid, axis=1).max())
 
 
-def pair_distances(positions: np.ndarray) -> tuple[float, float]:
-    """(average, minimum) distance over unordered distinct pairs."""
+def pair_distances(positions: np.ndarray,
+                   distances: np.ndarray | None = None) -> tuple[float, float]:
+    """(average, minimum) distance over unordered distinct pairs; ``distances``
+    may carry cdist(positions, positions), whose upper triangle is pdist's."""
     p = np.asarray(positions, dtype=float)
     if p.ndim != 2 or p.shape[0] < 2:
         raise ValueError("need a (n >= 2, m) position array")
-    d = pdist(p)
+    d = pdist(p) if distances is None else squareform(distances, checks=False)
     return float(d.mean()), float(d.min())
 
 
 def sample_metrics(time: float, positions: np.ndarray, velocities: np.ndarray,
-                   params) -> MetricSample:
-    """Assemble the full per-snapshot metric row."""
+                   params, g: InteractionGraph | None = None,
+                   distances: np.ndarray | None = None) -> MetricSample:
+    """Assemble the full per-snapshot metric row; ``g`` and ``distances`` may
+    carry the snapshot's neighbor graph and pairwise distance matrix."""
     positions = np.asarray(positions, dtype=float)
     velocities = np.asarray(velocities, dtype=float)
     m = positions.shape[1]
-    err = edge_errors(positions, velocities, params)
+    err = edge_errors(positions, velocities, params, g=g)
     with np.errstate(invalid="ignore"):
         pos_rows = err.agent_mean_pos[~np.isnan(err.agent_mean_pos).any(axis=1)]
         vel_rows = err.agent_mean_vel[~np.isnan(err.agent_mean_vel).any(axis=1)]
     mean_pos = pos_rows.mean(axis=0) if pos_rows.size else np.full(m, np.nan)
     mean_vel = vel_rows.mean(axis=0) if vel_rows.size else np.full(m, np.nan)
-    d_avg, d_min = pair_distances(positions)
+    d_avg, d_min = pair_distances(positions, distances)
     return MetricSample(
         time=float(time),
         h=alignment_score(velocities),

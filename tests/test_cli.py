@@ -2,10 +2,11 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from flocksim import SimConfig, preset, save_config
-from flocksim.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
+from flocksim.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
 
 
 def test_list_presets(capsys):
@@ -84,6 +85,25 @@ def test_sweep_writes_csv(tmp_path, capsys):
     assert lines[0].startswith("eta,n,seed")
     assert len(lines) == 2
 
+    # A cell whose forces overflow fails alone; the other cell's row stays.
+    spec.write_text(json.dumps({"etas": [3.0], "ns": [2], "deltas": [1.0, 1e160],
+                                "duration": 1.0}), encoding="utf-8")
+    capsys.readouterr()
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["sweep", str(spec), "--out-dir", str(out_dir)]) == EXIT_OK
+    lines = (out_dir / "sweep.csv").read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 2 and lines[1].startswith("1.0,3.0,2,0,")
+    assert "cell failed: eta=3.0 n=2 delta=1e+160" in capsys.readouterr().err
+
+
+def test_simulate_non_finite_forces_exits_2(tmp_path, capsys):
+    path = tmp_path / "overflow.json"
+    path.write_text('{"n": 5, "duration": 1.0, "params": {"alpha": 400.0, "delta": 3.0}}',
+                    encoding="utf-8")
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["simulate", str(path)]) == EXIT_NUMERIC
+    assert "numeric failure: non-finite state at step 1" in capsys.readouterr().err
+
 
 def test_sweep_bad_spec_exits_1(tmp_path, capsys):
     spec = tmp_path / "spec.json"
@@ -100,6 +120,19 @@ _BAD_VALUES = {
     "flag-string": '{"n": 4, "duration": 1.0, "adaptive": "false"}',
     "delta-nan": '{"n": 4, "duration": 1.0, "params": {"delta": NaN}}',
     "radius-infinite": '{"n": 4, "duration": 1.0, "params": {"radius": Infinity}}',
+    "radius-string": '{"n": 4, "duration": 1.0, "params": {"radius": "5"}}',
+    "radius-bool": '{"n": 4, "duration": 1.0, "params": {"radius": true}}',
+    "delta-bool": '{"n": 4, "duration": 1.0, "params": {"delta": true}}',
+    "kappa-string": '{"n": 4, "duration": 1.0, "cluttered": true, '
+                    '"target": {"position": [90.0, 90.0], "kappa": "0.5"}}',
+    "position-strings": '{"n": 4, "duration": 1.0, "cluttered": true, '
+                        '"target": {"position": ["90", "90"]}}',
+    "sigma-string": '{"n": 4, "duration": 1.0, "cluttered": true, "obstacles": '
+                    '[{"center": [5.0, 5.0], "radius": 1.0, "detection": 3.0, "sigma_o": "3"}]}',
+    "obstacles-number": '{"n": 4, "duration": 1.0, "cluttered": true, "obstacles": 5}',
+    "energy-string": '{"n": 4, "duration": 1.0, "energy": {"initial": "80"}}',
+    "e-th-bool": '{"n": 4, "duration": 1.0, "adaptive": true, "energy": {"initial": 80.0}, '
+                 '"adaptation": {"e_th": true}}',
 }
 
 

@@ -273,6 +273,14 @@ def test_offset_vectors_degenerate_pairs():
         offset_vectors(0, 1, pos, vel, p)
     assert exc.value.kind == "velocity"
 
+    # Exactly at the thresholds the pair is regular, as in
+    # interaction_acceleration (separated iff dist >= EPS_POS).
+    pos = np.array([[0.0, 0.0], [EPS_POS, 0.0]])
+    vel = np.array([[0.0, 0.0], [0.0, EPS_VEL]])
+    p_off, v_off = offset_vectors(0, 1, pos, vel, p)
+    np.testing.assert_array_equal(p_off, (p.delta / EPS_POS) ** p.alpha * pos[1])
+    np.testing.assert_array_equal(v_off, (p.eta / EPS_VEL) ** p.beta * vel[1])
+
     # Isolated agent: empty neighborhood.
     tiny = InteractionParams(radius=0.5)
     pos = np.array([[0.0, 0.0], [3.0, 0.0]])

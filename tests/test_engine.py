@@ -2,8 +2,8 @@
 
 Covers config validation, seeded initialization, the integration step
 (semi-implicit update, rate clamp, conditional speed cap), event
-logging, energy integration, and bitwise determinism across repeats
-and worker counts.
+logging, energy integration, bitwise determinism across repeats and
+worker counts, and byte-identity with a per-agent reference stepper.
 """
 
 import dataclasses
@@ -25,7 +25,24 @@ from flocksim import (
     run,
     step,
 )
-from flocksim.engine import rerun_with
+from flocksim.cognition import (
+    adaptive_delta,
+    adaptive_eta,
+    adaptive_threshold,
+    energy_derivative,
+)
+from flocksim.core import (
+    EPS_POS,
+    all_neighborhoods,
+    cucker_smale_acceleration,
+    interaction_acceleration,
+    rate_limit,
+    saturate_velocity,
+)
+from flocksim.engine import Event, rerun_with
+from flocksim.environment import extended_acceleration
+from flocksim.lab import list_presets, preset
+from flocksim.metrics import sample_metrics
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +263,16 @@ def test_non_finite_state_raises():
     assert exc.value.step_index == 1
     assert exc.value.agent == 1
 
+    # A force that overflows (alpha = 400) is reported for its agent, not
+    # raised as the per-pair PairNumericsError.
+    w = initialize(SimConfig(n=5, duration=1.0,
+                             params=InteractionParams(alpha=400.0, delta=3.0)))
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(SimulationNumericsError) as exc:
+        step(w)
+    assert exc.value.step_index == 1
+    assert 0 <= exc.value.agent < 5
+
 
 # ---------------------------------------------------------------------------
 # Recorded trajectories
@@ -343,3 +370,138 @@ def test_time_step_refinement_is_consistent():
         h_coarse = run(cfg).metrics[-1].h
         h_fine = run(dataclasses.replace(cfg, dt=0.05)).metrics[-1].h
         assert abs(h_coarse - h_fine) < 0.05
+
+
+# ---------------------------------------------------------------------------
+# Per-agent reference stepper
+
+
+def _reference_step(world):
+    """One step as the engine took it before the edge-list kernel: one call
+    of the per-agent core, environment and cognition functions per agent."""
+    cfg = world.config
+    n = cfg.n
+    nbrs = all_neighborhoods(world.positions, [p.radius for p in world.params])
+    if cfg.adaptive:
+        a = cfg.adaptation
+        params = []
+        for i in range(n):
+            thr = adaptive_threshold(world.energies, nbrs[i], a.e_th)
+            e = float(world.energies[i])
+            params.append(dataclasses.replace(world.params[i], delta=adaptive_delta(e, thr, a),
+                                              eta=adaptive_eta(e, thr, a)))
+        world.params = params
+    for a in range(n):
+        for b in range(a + 1, n):
+            if np.linalg.norm(world.positions[a] - world.positions[b]) < EPS_POS:
+                world.events.append(Event(
+                    step=world.step_index + 1, time=world.time, kind="coincident_pair",
+                    agents=(a, b), detail="separation impulse applied"))
+    acc = np.empty((n, cfg.m))
+    for i in range(n):
+        if cfg.cucker_smale is not None:
+            acc[i] = cucker_smale_acceleration(i, world.positions, world.velocities,
+                                               cfg.cucker_smale)
+        elif cfg.cluttered:
+            acc[i] = extended_acceleration(i, world.positions, world.velocities, world.params[i],
+                                           cfg.target, cfg.obstacles, nbrs=nbrs[i])
+        else:
+            acc[i] = interaction_acceleration(i, world.positions, world.velocities,
+                                              world.params[i], nbrs=nbrs[i])
+    for i in range(n):
+        acc[i] = rate_limit(acc[i], world.params[i].s)
+    world.velocities = world.velocities + acc * cfg.dt
+    world.positions = world.positions + world.velocities * cfg.dt
+    for i in range(n):
+        if float(np.linalg.norm(world.velocities[i])) > world.params[i].v_max:
+            world.velocities[i] = saturate_velocity(world.velocities[i], world.params[i].v_max)
+    if world.energies is not None:
+        e = cfg.energy
+        for i in range(n):
+            world.energies[i] += cfg.dt * energy_derivative(acc[i], e.c1, e.c2)
+        for i in np.nonzero(world.energies < 0)[0]:
+            if int(i) not in world._energy_warned:
+                world._energy_warned.add(int(i))
+                world.events.append(Event(
+                    step=world.step_index + 1, time=world.time + cfg.dt,
+                    kind="negative_energy", agents=(int(i),),
+                    detail=f"energy {world.energies[i]:.3f}"))
+    world.time += cfg.dt
+    world.step_index += 1
+    return world
+
+
+def _reference_run(config):
+    """Snapshots of a run stepped by _reference_step, with standalone metrics."""
+    world = initialize(config)
+    snaps = []
+    for k in range(config.n_steps + 1):
+        if k:
+            _reference_step(world)
+        snaps.append((world.positions.copy(), world.velocities.copy(),
+                      [(p.delta, p.eta) for p in world.params],
+                      None if world.energies is None else world.energies.copy(),
+                      sample_metrics(world.time, world.positions, world.velocities,
+                                     world.params)))
+    return snaps, world.events
+
+
+def _assert_run_matches_reference(config):
+    traj = run(config)
+    snaps, events = _reference_run(config)
+    assert traj.events == events
+    for k, (pos, vel, offsets, energies, sample) in enumerate(snaps):
+        assert traj.positions[k].tobytes() == pos.tobytes()
+        assert traj.velocities[k].tobytes() == vel.tobytes()
+        if config.adaptive:
+            assert list(zip(traj.deltas[k], traj.etas[k])) == offsets
+        if energies is not None:
+            assert traj.energies[k].tobytes() == energies.tobytes()
+        got = traj.metrics[k]
+        for name in ("time", "h", "r_agg", "d_avg", "d_min"):
+            assert np.array_equal(getattr(got, name), getattr(sample, name), equal_nan=True)
+        for name in ("mean_edge_pos_err", "mean_edge_vel_err"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(sample, name))
+
+
+@pytest.mark.parametrize("name", list_presets())
+def test_run_reproduces_per_agent_reference_on_presets(name):
+    cfg = preset(name).config
+    _assert_run_matches_reference(
+        dataclasses.replace(cfg, duration=min(cfg.duration, 3.0 if cfg.n > 20 else 8.0)))
+
+
+def test_run_reproduces_per_agent_reference_cluttered_adaptive():
+    # Cluttered and adaptive together, with energies crossing zero (events)
+    # and agents passing through the obstacles' detection ranges.
+    cluttered = preset("cluttered-fig6").config
+    adaptive = preset("adaptive-fig9").config
+    cfg = dataclasses.replace(
+        cluttered, n=25, duration=12.0, seed=3, params=adaptive.params, adaptive=True,
+        init_pos_range=(10.0, 30.0),
+        energy=EnergyState(energy=4.0, initial=4.0), adaptation=adaptive.adaptation)
+    _assert_run_matches_reference(cfg)
+    assert any(e.kind == "negative_energy" for e in run(cfg).events)
+
+
+def test_step_alone_reproduces_per_agent_reference():
+    # step(world) without a shared snapshot, on hand-made states: coincident
+    # pairs, per-agent radii (directed neighborhoods), 3-D, speed cap.
+    rng = np.random.default_rng(77)
+    for trial in range(12):
+        n, m = int(rng.integers(3, 12)), 2 + trial % 2
+        params = tuple(InteractionParams(delta=float(rng.uniform(0.2, 2.0)),
+                                         eta=float(rng.uniform(0.5, 6.0)),
+                                         radius=float(rng.uniform(2.0, 8.0)), v_max=2.0)
+                       for _ in range(n))
+        cfg = SimConfig(n=n, m=m, duration=1.0, seed=trial, params=params)
+        a, b = initialize(cfg), initialize(cfg)
+        for w in (a, b):
+            w.positions[1] = w.positions[0]
+            w.velocities *= 3.0
+        for _ in range(5):
+            step(a)
+            _reference_step(b)
+            assert a.positions.tobytes() == b.positions.tobytes()
+            assert a.velocities.tobytes() == b.velocities.tobytes()
+        assert a.events == b.events and a.events

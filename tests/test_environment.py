@@ -12,6 +12,7 @@ from flocksim import (
     interaction_acceleration,
     rho_weight,
 )
+from flocksim.environment import add_environment_terms
 
 
 def test_target_spec_validation():
@@ -139,3 +140,33 @@ def test_extended_acceleration_composes_all_terms():
                     want = want + rho_weight(d, o.detection, o.sigma_o) * to_center
             got = extended_acceleration(i, pos, vel, p, target, obstacles)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def test_add_environment_terms_matches_per_agent_bitwise():
+    # All agents at once against extended_acceleration: 2-D and 3-D, one
+    # agent on an obstacle center, one about a detection radius from another,
+    # kappa 0 and > 0.
+    rng = np.random.default_rng(29)
+    p = InteractionParams(radius=6.0)
+    hits = 0
+    for trial in range(40):
+        m = 2 + trial % 2
+        pos = rng.uniform(-10, 10, (8, m))
+        vel = rng.uniform(-2, 2, (8, m))
+        obstacles = tuple(
+            ObstacleSpec(center=tuple(rng.uniform(-10, 10, m)), radius=1.0,
+                         detection=float(rng.uniform(3.0, 9.0)),
+                         sigma_o=float(rng.choice([1.5, 2.0, 3.0])))
+            for _ in range(3))
+        pos[0] = obstacles[0].center
+        pos[1] = obstacles[1].center
+        pos[1, 0] += obstacles[1].detection
+        target = TargetSpec(position=tuple(rng.uniform(-20, 20, m)),
+                            kappa=float(rng.choice([0.0, 0.4])))
+        want = np.array([extended_acceleration(i, pos, vel, p, target, obstacles)
+                         for i in range(8)])
+        plain = np.array([interaction_acceleration(i, pos, vel, p) for i in range(8)])
+        got = add_environment_terms(plain, pos, target, obstacles)
+        assert got.tobytes() == want.tobytes(), trial
+        hits += sum(len(detected_obstacles(x, obstacles)) for x in pos)
+    assert hits >= 80

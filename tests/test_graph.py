@@ -28,7 +28,11 @@ from flocksim import (
     weighted_incidence,
 )
 from flocksim.core import all_neighborhoods
-from flocksim.graph import _min_sym_eigenvalue, stability_matrices
+from flocksim.graph import (
+    _min_sym_eigenvalue,
+    interaction_accelerations,
+    stability_matrices,
+)
 
 
 def _two_node_state():
@@ -164,6 +168,17 @@ def test_degenerate_edges_are_refused():
         global_rhs(pos, vel, p)
     assert exc.value.kind == "velocity"
 
+    # Exactly at the thresholds the pair is regular, as for the per-agent
+    # law: no refusal, valid residuals, and the same accelerations.
+    pos = np.array([[0.0, 0.0], [EPS_POS, 0.0]])
+    vel = np.array([[0.0, 0.0], [0.0, EPS_VEL]])
+    assert np.linalg.norm(pos[1] - pos[0]) == EPS_POS
+    assert np.linalg.norm(vel[1] - vel[0]) == EPS_VEL
+    want = np.concatenate([interaction_acceleration(i, pos, vel, p) for i in range(2)])
+    np.testing.assert_array_equal(global_rhs(pos, vel, p), want)
+    err = edge_errors(pos, vel, p)
+    assert err.pos_valid.all() and err.vel_valid.all()
+
 
 def test_edge_state_matches_direct_differences():
     rng = np.random.default_rng(23)
@@ -233,6 +248,57 @@ def test_global_rhs_matrix_free_path():
     assert v_dot == pytest.approx(-es.e_dot @ (a_mat @ es.e_dot), rel=1e-12)
 
 
+def test_interaction_accelerations_match_per_agent_law_bitwise():
+    # The engine's force kernel against core.interaction_acceleration, bit
+    # for bit, across the guard bands: coincident pairs (also at exactly
+    # EPS_POS), zero relative velocity, directed edges from per-agent radii,
+    # per-agent delta/eta and mixed exponents alpha, beta in {1, 1.5, 2}.
+    rng = np.random.default_rng(4040)
+    seen = dict(coincident=0, still=0, directed=0, mixed_exponents=0, dims=set())
+    for trial in range(240):
+        n = int(rng.integers(2, 25))
+        m = 2 + trial % 2
+        pos = rng.uniform(0.0, 8.0, (n, m))
+        vel = rng.uniform(-3.0, 3.0, (n, m))
+        if trial % 3 == 0:
+            pos[-1] = pos[0]
+        if trial % 7 == 0:
+            pos[0] = 0.0
+            pos[1] = 0.0
+            pos[1, 0] = EPS_POS
+        if trial % 4 == 0:
+            vel[1] = vel[0]
+        if trial % 5 == 0:
+            params = [InteractionParams(delta=float(rng.uniform(0.0, 3.0)),
+                                        eta=float(rng.uniform(0.0, 5.0)),
+                                        alpha=float(rng.choice([1.0, 1.5, 2.0])),
+                                        beta=float(rng.choice([1.0, 1.5, 2.0])))] * n
+        else:
+            params = [InteractionParams(delta=float(rng.uniform(0.0, 3.0)),
+                                        eta=float(rng.uniform(0.0, 5.0)),
+                                        alpha=float(rng.choice([1.0, 1.5, 2.0])),
+                                        beta=float(rng.choice([1.0, 1.5, 2.0])),
+                                        radius=float(rng.uniform(1.0, 12.0)))
+                      for _ in range(n)]
+        g = build_graph(pos, params)
+        nbrs = all_neighborhoods(pos, [p.radius for p in params])
+        want = np.array([interaction_acceleration(i, pos, vel, params[i], nbrs=nbrs[i])
+                         for i in range(n)])
+        got = interaction_accelerations(g, pos, vel, params)
+        assert got.tobytes() == want.tobytes(), trial
+        dist = np.linalg.norm(pos[g.sources] - pos[g.receivers], axis=1)
+        speed = np.linalg.norm(vel[g.sources] - vel[g.receivers], axis=1)
+        seen["coincident"] += int(np.count_nonzero(dist < EPS_POS))
+        seen["still"] += int(np.count_nonzero(speed < EPS_VEL))
+        edges = set(g.edges)
+        seen["directed"] += sum((i, j) not in edges for j, i in edges)
+        seen["mixed_exponents"] += len({p.alpha for p in params}) > 1
+        seen["dims"].add(m)
+    assert seen["coincident"] >= 20 and seen["still"] >= 20
+    assert seen["directed"] >= 100 and seen["mixed_exponents"] >= 100
+    assert seen["dims"] == {2, 3}
+
+
 def test_global_rhs_isolated_agents_zero():
     pos = np.array([[0.0, 0.0], [100.0, 0.0], [200.0, 0.0]])
     vel = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
@@ -257,9 +323,9 @@ def _mean_error_oracle(pos, vel, p):
             dv = vel[j] - vel[i]
             d = float(np.linalg.norm(dp))
             s = float(np.linalg.norm(dv))
-            if d > EPS_POS:
+            if d >= EPS_POS:
                 rows_p.append(dp - (p.delta * k / d) ** p.alpha * dp)
-            if s > EPS_VEL:
+            if s >= EPS_VEL:
                 rows_v.append(dv - (p.eta / (k * s)) ** p.beta * dv)
         if rows_p:
             mean_pos[i] = np.mean(rows_p, axis=0)

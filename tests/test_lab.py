@@ -170,6 +170,13 @@ def test_sweep_delta_axis_rows():
     rows, _ = sweep(spec)
     assert [r.delta for r in rows] == [0.5, 1.5]
 
+    # A cell whose forces overflow is a recorded failure; the others run.
+    spec = SweepSpec(etas=(3.0,), ns=(2,), deltas=(1.0, 1e160), duration=1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows, failures = sweep(spec)
+    assert [r.delta for r in rows] == [1.0]
+    assert len(failures) == 1 and failures[0].startswith("eta=3.0 n=2 delta=1e+160")
+
 
 # ---------------------------------------------------------------------------
 # Config serialization
