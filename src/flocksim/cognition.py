@@ -6,16 +6,18 @@ compares its energy against a threshold blended toward the weakest
 neighbor: the lower its energy relative to that threshold, the smaller
 its spacing offset delta and alignment offset eta become, which shifts
 the group from loose swarming toward tight, cheap flocking.
+apply_adaptation replaces only the delta and eta columns of the
+per-agent parameter table (core.AgentParams) the engine steps with.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InteractionParams, Neighborhood, require_finite
+from .core import AgentParams, Neighborhood, agent_params, require_finite
 from .graph import InteractionGraph, build_graph
 
 
@@ -122,23 +124,23 @@ def adaptive_eta(energy: float, threshold: float, p: AdaptationParams) -> float:
 def apply_adaptation(
     positions: np.ndarray,
     energies: np.ndarray,
-    params_list: list[InteractionParams],
+    params,
     adaptation: AdaptationParams,
     g: InteractionGraph | None = None,
-) -> list[InteractionParams]:
-    """Recompute every agent's (delta, eta) from the current snapshot.
+) -> AgentParams:
+    """The table of ``params`` with every agent's (delta, eta) recomputed from the snapshot.
 
     adaptive_threshold's mu and minimum come from counts and minima over
     the in-edges of ``g`` (built if omitted), all from the passed-in
     energies, so the update order cannot leak into the result.
     """
-    positions = np.asarray(positions, dtype=float)
     energies = np.asarray(energies, dtype=float)
-    n = positions.shape[0]
-    if len(params_list) != n or energies.shape[0] != n:
+    n = energies.shape[0]
+    params = agent_params(params, n)
+    if len(positions) != n:
         raise ValueError("positions, energies and params must agree on n")
     if g is None:
-        g = build_graph(positions, params_list)
+        g = build_graph(positions, params)
     e_th = adaptation.e_th
     count = g.in_degrees()
     seen = energies[g.sources]
@@ -148,7 +150,9 @@ def apply_adaptation(
     has = count > 0
     thr = np.full(n, float(e_th))
     thr[has] = e_th - low[has] / count[has] * (e_th - e_min[has])
-    return [
-        replace(p, delta=adaptive_delta(e, t, adaptation), eta=adaptive_eta(e, t, adaptation))
-        for p, e, t in zip(params_list, energies.tolist(), thr.tolist())
-    ]
+    # The sigmoid stays scalar: np.exp and math.exp differ in the last bit
+    # on ~5 % of inputs, and whole runs reproduce the per-agent
+    # adaptive_delta/adaptive_eta bit for bit.
+    pairs = list(zip(energies.tolist(), thr.tolist()))
+    return params._replace(delta=np.array([adaptive_delta(e, t, adaptation) for e, t in pairs]),
+                           eta=np.array([adaptive_eta(e, t, adaptation) for e, t in pairs]))

@@ -13,7 +13,8 @@ Distances are in meters, velocities in m/s, accelerations in m/s^2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -118,6 +119,20 @@ class InteractionParams:
     def s(self) -> float:
         """Acceleration ceiling v_max / t_vmax (m/s^2)."""
         return self.v_max / self.t_vmax
+
+
+AgentParams = namedtuple("AgentParams", [f.name for f in fields(InteractionParams)])
+
+
+def agent_params(params, n: int) -> AgentParams:
+    """Per-agent table, one (n,) float column per InteractionParams field, of
+    one block shared by n agents, of n blocks, or of a table (returned as is)."""
+    if isinstance(params, AgentParams):
+        return params
+    blocks = [params] * n if isinstance(params, InteractionParams) else list(params)
+    if len(blocks) != n or not all(isinstance(b, InteractionParams) for b in blocks):
+        raise ValueError(f"need {n} InteractionParams blocks, got {len(blocks)}: {blocks!r:.50}")
+    return AgentParams(*np.array([astuple(b) for b in blocks], dtype=float).T.copy())
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,15 @@
 """Deterministic time-stepping engine.
 
+World.params holds the per-agent gains as one table (core.AgentParams,
+an (n,) column per InteractionParams field) that every stage reads.
 run() builds one pairwise distance matrix and one neighbor graph (a
 receiver-sorted edge list) per snapshot; that snapshot's metrics and
 the next step share them, since adaptation never changes radii.  A step
-applies, in order: parameter adaptation (adaptive runs), force assembly
-(the graph layer's edge kernel, plus target and obstacle terms in
-cluttered runs, or the comparison consensus law), acceleration rate
-clamp, semi-implicit Euler integration, velocity saturation, and energy
+applies, in order: adaptation of the table's delta and eta columns
+(adaptive runs), force assembly (the graph layer's edge kernel, plus
+target and obstacle terms in cluttered runs, or the comparison
+consensus law over the distance matrix), acceleration rate clamp,
+semi-implicit Euler integration, velocity saturation, and energy
 integration when an energy block is configured.  Each stage works on
 (n, m) arrays and reproduces the per-agent functions bit for bit.
 
@@ -29,11 +32,13 @@ from . import metrics as metrics_mod
 from .cognition import AdaptationParams, EnergyState, apply_adaptation
 from .core import (
     EPS_POS,
+    AgentParams,
     AgentState,
     CuckerSmaleParams,
     InteractionParams,
     PairNumericsError,
     _row_norms,
+    agent_params,
     cucker_smale_acceleration,
     saturate_velocity,
 )
@@ -125,15 +130,20 @@ class SimConfig:
             raise ConfigError("workers must be >= 1")
         for name in ("init_pos_range", "init_vel_range"):
             object.__setattr__(self, name, _normalize_ranges(getattr(self, name), self.m, name))
-        if not isinstance(self.params, InteractionParams):
-            blocks = tuple(self.params)
-            if len(blocks) != self.n:
-                raise ConfigError(
-                    f"per-agent params: expected {self.n} blocks, got {len(blocks)}"
-                )
-            object.__setattr__(self, "params", blocks)
-        if isinstance(self.obstacles, list):
-            object.__setattr__(self, "obstacles", tuple(self.obstacles))
+        try:
+            if not isinstance(self.params, InteractionParams):
+                object.__setattr__(self, "params", tuple(self.params))
+            agent_params(self.params, self.n)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"params: {exc}") from exc
+        for name, cls in (("target", TargetSpec), ("energy", EnergyState),
+                          ("adaptation", AdaptationParams), ("cucker_smale", CuckerSmaleParams)):
+            if not isinstance(getattr(self, name), (cls, type(None))):
+                raise ConfigError(f"{name}: expected {cls.__name__}, got {getattr(self, name)!r}")
+        if not (isinstance(self.obstacles, (list, tuple))
+                and all(isinstance(o, ObstacleSpec) for o in self.obstacles)):
+            raise ConfigError(f"obstacles: expected ObstacleSpecs, got {self.obstacles!r}")
+        object.__setattr__(self, "obstacles", tuple(self.obstacles))
         if self.cucker_smale is not None and (self.cluttered or self.adaptive):
             raise ConfigError("cucker_smale runs exclude cluttered/adaptive modes")
         if (self.target is not None or self.obstacles) and not self.cluttered:
@@ -179,7 +189,7 @@ class World:
     config: SimConfig
     positions: np.ndarray
     velocities: np.ndarray
-    params: list[InteractionParams]
+    params: AgentParams
     energies: np.ndarray | None
     time: float = 0.0
     step_index: int = 0
@@ -210,7 +220,7 @@ def initialize(config: SimConfig) -> World:
         config=config,
         positions=positions,
         velocities=velocities,
-        params=config.params_list(),
+        params=agent_params(config.params, config.n),
         energies=energies,
     )
 
@@ -223,13 +233,18 @@ def neighbors(world: World) -> tuple[np.ndarray, InteractionGraph]:
     return dist, build_graph(world.positions, world.params, distances=dist)
 
 
-def _forces(world: World, g: InteractionGraph) -> np.ndarray:
+def _forces(world: World, dist: np.ndarray, g: InteractionGraph) -> np.ndarray:
     cfg = world.config
-    if cfg.cucker_smale is not None:
-        return np.array([
-            cucker_smale_acceleration(i, world.positions, world.velocities, cfg.cucker_smale)
-            for i in range(cfg.n)
-        ])
+    cs = cfg.cucker_smale
+    if cs is not None:
+        # Row i sums over j in index order, as cucker_smale_acceleration(i) does.
+        w = cs.k_gain / (cs.sigma_cs**2 + dist) ** cs.gamma
+        v = world.velocities
+        acc = (w[:, :, None] * (v[None] - v[:, None])).sum(axis=1)
+        bad = ~np.isfinite(acc).all(axis=1)
+        if bad.any():  # the per-agent law names the pair
+            cucker_smale_acceleration(int(np.argmax(bad)), world.positions, v, cs)
+        return acc
     acc = interaction_accelerations(g, world.positions, world.velocities, world.params)
     if cfg.cluttered:
         acc = add_environment_terms(acc, world.positions, cfg.target, cfg.obstacles)
@@ -258,10 +273,10 @@ def step(world: World, snapshot: tuple[np.ndarray, InteractionGraph] | None = No
         ))
 
     try:
-        acc = _forces(world, g)
+        acc = _forces(world, dist, g)
     except PairNumericsError as exc:
         raise SimulationNumericsError(world.step_index + 1, exc.i) from exc
-    limit = np.array([p.s for p in world.params])
+    limit = world.params.v_max / world.params.t_vmax
     norm = _row_norms(acc)
     over = norm > limit
     acc[over] = (limit[over] / norm[over])[:, None] * acc[over]
@@ -270,9 +285,8 @@ def step(world: World, snapshot: tuple[np.ndarray, InteractionGraph] | None = No
     world.positions = world.positions + world.velocities * cfg.dt
     # The smooth cap engages only above v_max: repeated sub-limit
     # application would act as drag and bleed the group's momentum.
-    v_max = np.array([p.v_max for p in world.params])
-    for i in np.flatnonzero(_row_norms(world.velocities) > v_max).tolist():
-        world.velocities[i] = saturate_velocity(world.velocities[i], world.params[i].v_max)
+    for i in np.flatnonzero(_row_norms(world.velocities) > world.params.v_max).tolist():
+        world.velocities[i] = saturate_velocity(world.velocities[i], float(world.params.v_max[i]))
 
     if world.energies is not None:
         e = world.config.energy
@@ -340,8 +354,8 @@ def run(config: SimConfig) -> Trajectory:
         positions[k] = world.positions
         velocities[k] = world.velocities
         if adaptive:
-            deltas[k] = [p.delta for p in world.params]
-            etas[k] = [p.eta for p in world.params]
+            deltas[k] = world.params.delta
+            etas[k] = world.params.eta
         if energies is not None:
             energies[k] = world.energies
         dist, g = snapshot = neighbors(world)

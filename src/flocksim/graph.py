@@ -32,8 +32,8 @@ from scipy.spatial.distance import cdist
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .core import (EPS_POS, EPS_VEL, InteractionParams, PairNumericsError,
-                   _tie_break_direction, psi_weight)
+from .core import (EPS_POS, EPS_VEL, AgentParams, PairNumericsError, _tie_break_direction,
+                   agent_params, psi_weight)
 
 log = logging.getLogger(__name__)
 
@@ -140,24 +140,14 @@ class _EdgeTerms(NamedTuple):
     w_vel: np.ndarray
 
 
-def _params_seq(params, n: int) -> list[InteractionParams]:
-    if isinstance(params, InteractionParams):
-        return [params] * n
-    params = list(params)
-    if len(params) != n:
-        raise ValueError(f"expected {n} parameter blocks, got {len(params)}")
-    return params
-
-
 def build_graph(positions: np.ndarray, params,
                 distances: np.ndarray | None = None) -> InteractionGraph:
     """Directed edge (j, i) for every j in agent i's neighborhood;
     ``distances`` may carry cdist(positions, positions)."""
     positions = np.asarray(positions, dtype=float)
     n = positions.shape[0]
-    radii = np.array([p.radius for p in _params_seq(params, n)])
     dist = cdist(positions, positions) if distances is None else distances
-    mask = dist <= radii[:, None]
+    mask = dist <= agent_params(params, n).radius[:, None]
     np.fill_diagonal(mask, False)
     receivers, sources = np.nonzero(mask)  # row-major == sorted by (i, j)
     return InteractionGraph(n_nodes=n, sources=sources, receivers=receivers)
@@ -181,23 +171,19 @@ def _power(base: np.ndarray, exponents: np.ndarray, receivers: np.ndarray) -> np
 
 
 def _edge_terms(g: InteractionGraph, positions: np.ndarray, velocities: np.ndarray,
-                plist: list[InteractionParams]) -> _EdgeTerms:
+                p: AgentParams) -> _EdgeTerms:
     sources, receivers = g.sources, g.receivers
     dp = positions[sources] - positions[receivers]
     dv = velocities[sources] - velocities[receivers]
     dist = np.linalg.norm(dp, axis=1)
     dvn = np.linalg.norm(dv, axis=1)
     deg = g.in_degrees()[receivers]
-    delta = np.array([p.delta for p in plist])[receivers]
-    eta = np.array([p.eta for p in plist])[receivers]
-    alpha = np.array([p.alpha for p in plist])
-    beta = np.array([p.beta for p in plist])
     pos_valid = dist >= EPS_POS
     vel_valid = dvn >= EPS_VEL
-    w_pos = np.where(pos_valid, _power(delta * deg / np.where(pos_valid, dist, 1.0),
-                                       alpha, receivers), 0.0)
-    w_vel = np.where(vel_valid, _power(eta / (deg * np.where(vel_valid, dvn, 1.0)),
-                                       beta, receivers), 0.0)
+    w_pos = np.where(pos_valid, _power(p.delta[receivers] * deg / np.where(pos_valid, dist, 1.0),
+                                       p.alpha, receivers), 0.0)
+    w_vel = np.where(vel_valid, _power(p.eta[receivers] / (deg * np.where(vel_valid, dvn, 1.0)),
+                                       p.beta, receivers), 0.0)
     return _EdgeTerms(dp, dv, pos_valid, vel_valid, w_pos, w_vel)
 
 
@@ -213,15 +199,14 @@ def interaction_accelerations(g: InteractionGraph, positions: np.ndarray,
     core.interaction_acceleration(i, ...) bit for bit, guard branches and
     PairNumericsError (lowest agent first) included.  Aggregation and
     alignment are summed separately in source order, then added."""
-    positions = np.asarray(positions, dtype=float)
-    plist = _params_seq(params, positions.shape[0])
-    t = _edge_terms(g, positions, np.asarray(velocities, dtype=float), plist)
+    p = agent_params(params, g.n_nodes)
+    t = _edge_terms(g, np.asarray(positions, dtype=float), np.asarray(velocities, dtype=float), p)
     n, m = g.n_nodes, t.dp.shape[1]
     agg = np.where(t.pos_valid[:, None], (1.0 - t.w_pos)[:, None] * t.dp, 0.0)
     deg = g.in_degrees()
     for e in np.flatnonzero(~t.pos_valid).tolist():
         i, j = int(g.receivers[e]), int(g.sources[e])
-        w = psi_weight(EPS_POS, plist[i].delta, int(deg[i]), plist[i].alpha)
+        w = psi_weight(EPS_POS, float(p.delta[i]), int(deg[i]), float(p.alpha[i]))
         agg[e] = w * _tie_break_direction(i, j, m)
     ali = np.where(t.vel_valid[:, None], (1.0 - t.w_vel)[:, None] * t.dv, 0.0)
     total = _segment_sums(g.receivers, agg, n) + _segment_sums(g.receivers, ali, n)
@@ -238,7 +223,7 @@ def _oracle_terms(g, positions, velocities, params) -> _EdgeTerms:
     """Edge terms for the matrix form, which refuses guard-band edges."""
     positions = np.asarray(positions, dtype=float)
     velocities = np.asarray(velocities, dtype=float)
-    t = _edge_terms(g, positions, velocities, _params_seq(params, positions.shape[0]))
+    t = _edge_terms(g, positions, velocities, agent_params(params, positions.shape[0]))
     for valid, kind in ((t.pos_valid, "position"), (t.vel_valid, "velocity")):
         if not valid.all():
             e = int(np.argmin(valid))
@@ -274,10 +259,10 @@ def global_rhs(positions: np.ndarray, velocities: np.ndarray, params) -> np.ndar
     OracleInapplicableError because the matrix form has no guard branch.
     """
     positions = np.asarray(positions, dtype=float)
-    plist = _params_seq(params, positions.shape[0])
-    g = build_graph(positions, plist)
-    _oracle_terms(g, positions, velocities, plist)
-    return interaction_accelerations(g, positions, velocities, plist).reshape(-1)
+    p = agent_params(params, positions.shape[0])
+    g = build_graph(positions, p)
+    _oracle_terms(g, positions, velocities, p)
+    return interaction_accelerations(g, positions, velocities, p).reshape(-1)
 
 
 def edge_errors(positions: np.ndarray, velocities: np.ndarray, params,
@@ -286,11 +271,11 @@ def edge_errors(positions: np.ndarray, velocities: np.ndarray, params,
     positions = np.asarray(positions, dtype=float)
     velocities = np.asarray(velocities, dtype=float)
     n = positions.shape[0]
-    plist = _params_seq(params, n)
+    p = agent_params(params, n)
     if g is None:
-        g = build_graph(positions, plist)
+        g = build_graph(positions, p)
     receivers = g.receivers
-    dp, dv, pos_valid, vel_valid, w_pos, w_vel = _edge_terms(g, positions, velocities, plist)
+    dp, dv, pos_valid, vel_valid, w_pos, w_vel = _edge_terms(g, positions, velocities, p)
     pos = np.where(pos_valid[:, None], dp - w_pos[:, None] * dp, 0.0)
     vel = np.where(vel_valid[:, None], dv - w_vel[:, None] * dv, 0.0)
 
@@ -383,10 +368,10 @@ def lyapunov_monitor(positions: np.ndarray, velocities: np.ndarray, params) -> d
     violate.
     """
     positions = np.asarray(positions, dtype=float)
-    plist = _params_seq(params, positions.shape[0])
-    g = build_graph(positions, plist)
-    w = weighted_incidence(g, positions, velocities, plist)
-    es = edge_state(g, positions, velocities, plist)
+    p = agent_params(params, positions.shape[0])
+    g = build_graph(positions, p)
+    w = weighted_incidence(g, positions, velocities, p)
+    es = edge_state(g, positions, velocities, p)
     v, v_dot = lyapunov_value(es, w, g)
     a_psd = b_psd = None
     if g.n_edges > 0:

@@ -122,16 +122,16 @@ def test_apply_adaptation_updates_only_offsets():
                                 t_vmax=2.0)] * 3
     adap = AdaptationParams()
     out = apply_adaptation(pos, energies, params, adap)
-    assert len(out) == 3
-    for before, after in zip(params, out):
-        assert after.radius == before.radius
-        assert after.alpha == before.alpha
-        assert after.beta == before.beta
-        assert after.v_max == before.v_max
-        assert after.t_vmax == before.t_vmax
+    assert len(out.delta) == len(out.eta) == 3
+    for i, before in enumerate(params):
+        assert out.radius[i] == before.radius
+        assert out.alpha[i] == before.alpha
+        assert out.beta[i] == before.beta
+        assert out.v_max[i] == before.v_max
+        assert out.t_vmax[i] == before.t_vmax
     # The well-rested agent sits higher than the exhausted one.
-    assert out[0].eta > out[2].eta
-    assert out[0].delta > out[2].delta
+    assert out.eta[0] > out.eta[2]
+    assert out.delta[0] > out.delta[2]
 
 
 def test_apply_adaptation_matches_manual_composition():
@@ -142,8 +142,8 @@ def test_apply_adaptation_matches_manual_composition():
     out = apply_adaptation(pos, energies, params, adap)
     # Agent 1 sees both others (distance 2 each).
     thr = adaptive_threshold(energies, Neighborhood((0, 2)), adap.e_th)
-    assert out[1].eta == pytest.approx(adaptive_eta(35.0, thr, adap), rel=1e-15)
-    assert out[1].delta == pytest.approx(adaptive_delta(35.0, thr, adap), rel=1e-15)
+    assert out.eta[1] == pytest.approx(adaptive_eta(35.0, thr, adap), rel=1e-15)
+    assert out.delta[1] == pytest.approx(adaptive_delta(35.0, thr, adap), rel=1e-15)
 
 
 def test_apply_adaptation_permutation_equivariance():
@@ -156,8 +156,8 @@ def test_apply_adaptation_permutation_equivariance():
     perm = rng.permutation(5)
     out_p = apply_adaptation(pos[perm], energies[perm], params, adap)
     for k, orig in enumerate(perm):
-        assert out_p[k].eta == pytest.approx(out[orig].eta, rel=1e-15)
-        assert out_p[k].delta == pytest.approx(out[orig].delta, rel=1e-15)
+        assert out_p.eta[k] == pytest.approx(out.eta[orig], rel=1e-15)
+        assert out_p.delta[k] == pytest.approx(out.delta[orig], rel=1e-15)
 
 
 def test_apply_adaptation_validates_lengths():

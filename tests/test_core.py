@@ -27,7 +27,7 @@ from flocksim import (
     rate_limit,
     saturate_velocity,
 )
-from flocksim.core import all_neighborhoods
+from flocksim.core import AgentParams, agent_params, all_neighborhoods
 
 
 def _oracle_accel(i, positions, velocities, p):
@@ -121,6 +121,27 @@ def test_interaction_params_validation(bad):
 def test_interaction_params_accel_ceiling():
     assert InteractionParams(v_max=5.0, t_vmax=2.0).s == pytest.approx(2.5)
     assert InteractionParams(v_max=3.0, t_vmax=1.0).s == pytest.approx(3.0)
+
+
+def test_agent_params_table():
+    one = InteractionParams(delta=0.5, eta=2.0, radius=4.0, v_max=3.0)
+    shared = agent_params(one, 3)
+    assert shared._fields == tuple(f for f in InteractionParams.__dataclass_fields__)
+    for name in shared._fields:
+        col = getattr(shared, name)
+        assert col.dtype == float and col.shape == (3,)
+        np.testing.assert_array_equal(col, np.full(3, getattr(one, name)))
+    blocks = [InteractionParams(delta=d, alpha=a) for d, a in ((0.2, 1.5), (0.7, 2.0))]
+    table = agent_params(blocks, 2)
+    np.testing.assert_array_equal(table.delta, [0.2, 0.7])
+    np.testing.assert_array_equal(table.alpha, [1.5, 2.0])
+    np.testing.assert_array_equal(table.eta, [3.0, 3.0])
+    assert agent_params(table, 2) is table
+    assert isinstance(table, AgentParams)
+    with pytest.raises(ValueError):
+        agent_params(blocks, 3)
+    with pytest.raises(ValueError):
+        agent_params([one, {"delta": 1.0}], 2)
 
 
 def test_cucker_smale_params_validation():

@@ -63,9 +63,15 @@ def test_config_basic_bounds():
     with pytest.raises(ConfigError):
         SimConfig(n=5, duration=1.0, seed=-1)
     # Bad values are refused, not coerced; integral floats are accepted.
+    # Blocks of the wrong type are refused here, not met later inside run.
     for bad in (dict(n=5.7), dict(n=True), dict(duration=float("inf")),
                 dict(dt=float("nan")), dict(adaptive="false"),
-                dict(init_vel_range=(float("nan"), 1.0))):
+                dict(init_vel_range=(float("nan"), 1.0)),
+                dict(params=5), dict(params=[{}] * 5), dict(params="abcde"),
+                dict(cluttered=True, obstacles=(1,)),
+                dict(cluttered=True, target=(1.0, 1.0)), dict(energy=5.0),
+                dict(adaptive=True, energy=EnergyState(energy=5.0, initial=5.0), adaptation=5),
+                dict(cucker_smale=1)):
         with pytest.raises(ConfigError):
             SimConfig(**{"n": 5, "duration": 1.0, **bad})
     cfg = SimConfig(n=5.0, duration=1)
@@ -273,6 +279,14 @@ def test_non_finite_state_raises():
     assert exc.value.step_index == 1
     assert 0 <= exc.value.agent < 5
 
+    # So is an overflowing consensus term (v_j - v_i = -inf for agent 1).
+    w = initialize(SimConfig(n=3, duration=1.0, cucker_smale=CuckerSmaleParams()))
+    w.velocities[:] = [[0.0, 0.0], [1e308, 0.0], [-1e308, 0.0]]
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(SimulationNumericsError) as exc:
+        step(w)
+    assert (exc.value.step_index, exc.value.agent) == (1, 1)
+
 
 # ---------------------------------------------------------------------------
 # Recorded trajectories
@@ -376,21 +390,23 @@ def test_time_step_refinement_is_consistent():
 # Per-agent reference stepper
 
 
-def _reference_step(world):
+def _reference_step(world, params):
     """One step as the engine took it before the edge-list kernel: one call
-    of the per-agent core, environment and cognition functions per agent."""
+    of the per-agent core, environment and cognition functions per agent.
+    ``params`` is the reference's own list of per-agent blocks (world.params,
+    the engine's table, is not read); returns the list for the next step."""
     cfg = world.config
     n = cfg.n
-    nbrs = all_neighborhoods(world.positions, [p.radius for p in world.params])
+    nbrs = all_neighborhoods(world.positions, [p.radius for p in params])
     if cfg.adaptive:
         a = cfg.adaptation
-        params = []
+        adapted = []
         for i in range(n):
             thr = adaptive_threshold(world.energies, nbrs[i], a.e_th)
             e = float(world.energies[i])
-            params.append(dataclasses.replace(world.params[i], delta=adaptive_delta(e, thr, a),
-                                              eta=adaptive_eta(e, thr, a)))
-        world.params = params
+            adapted.append(dataclasses.replace(params[i], delta=adaptive_delta(e, thr, a),
+                                               eta=adaptive_eta(e, thr, a)))
+        params = adapted
     for a in range(n):
         for b in range(a + 1, n):
             if np.linalg.norm(world.positions[a] - world.positions[b]) < EPS_POS:
@@ -403,18 +419,18 @@ def _reference_step(world):
             acc[i] = cucker_smale_acceleration(i, world.positions, world.velocities,
                                                cfg.cucker_smale)
         elif cfg.cluttered:
-            acc[i] = extended_acceleration(i, world.positions, world.velocities, world.params[i],
+            acc[i] = extended_acceleration(i, world.positions, world.velocities, params[i],
                                            cfg.target, cfg.obstacles, nbrs=nbrs[i])
         else:
             acc[i] = interaction_acceleration(i, world.positions, world.velocities,
-                                              world.params[i], nbrs=nbrs[i])
+                                              params[i], nbrs=nbrs[i])
     for i in range(n):
-        acc[i] = rate_limit(acc[i], world.params[i].s)
+        acc[i] = rate_limit(acc[i], params[i].s)
     world.velocities = world.velocities + acc * cfg.dt
     world.positions = world.positions + world.velocities * cfg.dt
     for i in range(n):
-        if float(np.linalg.norm(world.velocities[i])) > world.params[i].v_max:
-            world.velocities[i] = saturate_velocity(world.velocities[i], world.params[i].v_max)
+        if float(np.linalg.norm(world.velocities[i])) > params[i].v_max:
+            world.velocities[i] = saturate_velocity(world.velocities[i], params[i].v_max)
     if world.energies is not None:
         e = cfg.energy
         for i in range(n):
@@ -428,21 +444,21 @@ def _reference_step(world):
                     detail=f"energy {world.energies[i]:.3f}"))
     world.time += cfg.dt
     world.step_index += 1
-    return world
+    return params
 
 
 def _reference_run(config):
     """Snapshots of a run stepped by _reference_step, with standalone metrics."""
     world = initialize(config)
+    params = config.params_list()
     snaps = []
     for k in range(config.n_steps + 1):
         if k:
-            _reference_step(world)
+            params = _reference_step(world, params)
         snaps.append((world.positions.copy(), world.velocities.copy(),
-                      [(p.delta, p.eta) for p in world.params],
+                      [(p.delta, p.eta) for p in params],
                       None if world.energies is None else world.energies.copy(),
-                      sample_metrics(world.time, world.positions, world.velocities,
-                                     world.params)))
+                      sample_metrics(world.time, world.positions, world.velocities, params)))
     return snaps, world.events
 
 
@@ -484,24 +500,42 @@ def test_run_reproduces_per_agent_reference_cluttered_adaptive():
     assert any(e.kind == "negative_energy" for e in run(cfg).events)
 
 
+def test_run_reproduces_per_agent_reference_heterogeneous_adaptive():
+    # Every column of the parameter table differs between agents: radii
+    # (directed neighborhoods), alpha in {1.5, 2}, beta in {1, 2}, v_max and
+    # t_vmax (rate limit and speed cap), and the starting delta/eta.
+    rng = np.random.default_rng(5)
+    params = tuple(InteractionParams(
+        delta=float(rng.uniform(0.5, 2.0)), eta=float(rng.uniform(3.0, 15.0)),
+        alpha=(1.5, 2.0)[i % 2], beta=(1.0, 2.0)[i // 2 % 2],
+        radius=float(rng.uniform(3.0, 9.0)), v_max=float(rng.uniform(2.0, 6.0)),
+        t_vmax=float(rng.uniform(0.5, 2.0))) for i in range(12))
+    cfg = dataclasses.replace(preset("adaptive-fig9").config, n=12, duration=15.0, seed=3,
+                              params=params, energy=EnergyState(energy=6.0, initial=6.0))
+    _assert_run_matches_reference(cfg)
+
+
 def test_step_alone_reproduces_per_agent_reference():
     # step(world) without a shared snapshot, on hand-made states: coincident
-    # pairs, per-agent radii (directed neighborhoods), 3-D, speed cap.
+    # pairs, per-agent radii (directed neighborhoods), 3-D, speed cap, and
+    # the consensus law at gamma 0, 0.5, 1 and 2.
     rng = np.random.default_rng(77)
-    for trial in range(12):
+    for trial in range(16):
         n, m = int(rng.integers(3, 12)), 2 + trial % 2
         params = tuple(InteractionParams(delta=float(rng.uniform(0.2, 2.0)),
                                          eta=float(rng.uniform(0.5, 6.0)),
                                          radius=float(rng.uniform(2.0, 8.0)), v_max=2.0)
                        for _ in range(n))
-        cfg = SimConfig(n=n, m=m, duration=1.0, seed=trial, params=params)
+        cs = CuckerSmaleParams(gamma=(0.0, 0.5, 1.0, 2.0)[trial % 4]) if trial >= 12 else None
+        cfg = SimConfig(n=n, m=m, duration=1.0, seed=trial, params=params, cucker_smale=cs)
         a, b = initialize(cfg), initialize(cfg)
+        plist = cfg.params_list()
         for w in (a, b):
             w.positions[1] = w.positions[0]
             w.velocities *= 3.0
         for _ in range(5):
             step(a)
-            _reference_step(b)
+            plist = _reference_step(b, plist)
             assert a.positions.tobytes() == b.positions.tobytes()
             assert a.velocities.tobytes() == b.velocities.tobytes()
         assert a.events == b.events and a.events
