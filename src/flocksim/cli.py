@@ -78,7 +78,7 @@ def _cmd_sweep(args) -> int:
         write_sweep_csv(rows, path, include_delta=spec.has_delta_axis)
         print(f"wrote {path} ({len(rows)} rows, {len(failures)} failed cells)")
     else:
-        write_sweep_csv(rows, "/dev/stdout", include_delta=spec.has_delta_axis)
+        write_sweep_csv(rows, sys.stdout, include_delta=spec.has_delta_axis)
     return EXIT_OK
 
 

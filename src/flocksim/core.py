@@ -129,7 +129,9 @@ def agent_params(params, n: int) -> AgentParams:
     one block shared by n agents, of n blocks, or of a table (returned as is)."""
     if isinstance(params, AgentParams):
         return params
-    blocks = [params] * n if isinstance(params, InteractionParams) else list(params)
+    if isinstance(params, InteractionParams):
+        return AgentParams(*np.repeat(np.array([astuple(params)], dtype=float).T, n, axis=1))
+    blocks = list(params)
     if len(blocks) != n or not all(isinstance(b, InteractionParams) for b in blocks):
         raise ValueError(f"need {n} InteractionParams blocks, got {len(blocks)}: {blocks!r:.50}")
     return AgentParams(*np.array([astuple(b) for b in blocks], dtype=float).T.copy())

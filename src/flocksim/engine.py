@@ -8,10 +8,11 @@ the next step share them, since adaptation never changes radii.  A step
 applies, in order: adaptation of the table's delta and eta columns
 (adaptive runs), force assembly (the graph layer's edge kernel, plus
 target and obstacle terms in cluttered runs, or the comparison
-consensus law over the distance matrix), acceleration rate clamp,
-semi-implicit Euler integration, velocity saturation, and energy
-integration when an energy block is configured.  Each stage works on
-(n, m) arrays and reproduces the per-agent functions bit for bit.
+consensus law over the distance matrix), then integrate(): acceleration
+rate clamp, semi-implicit Euler integration and velocity saturation,
+which lab.sweep's lockstep cells share; and energy integration when an
+energy block is configured.  Each stage works on (n, m) arrays and
+reproduces the per-agent functions bit for bit.
 
 Determinism holds for a fixed (config, seed): initialization uses
 per-agent spawned RNG streams, and each agent's force sums its in-edges
@@ -251,6 +252,25 @@ def _forces(world: World, dist: np.ndarray, g: InteractionGraph) -> np.ndarray:
     return acc
 
 
+def integrate(positions: np.ndarray, velocities: np.ndarray, acc: np.ndarray,
+              params: AgentParams, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Post-force stage of a step: clamp ``acc`` in place to each agent's
+    rate limit, then semi-implicit Euler and the speed cap; returns the new
+    (positions, velocities).  Rows are independent of each other."""
+    limit = params.v_max / params.t_vmax
+    norm = _row_norms(acc)
+    over = norm > limit
+    acc[over] = (limit[over] / norm[over])[:, None] * acc[over]
+
+    velocities = velocities + acc * dt
+    positions = positions + velocities * dt
+    # The smooth cap engages only above v_max: repeated sub-limit
+    # application would act as drag and bleed the group's momentum.
+    for i in np.flatnonzero(_row_norms(velocities) > params.v_max).tolist():
+        velocities[i] = saturate_velocity(velocities[i], float(params.v_max[i]))
+    return positions, velocities
+
+
 def step(world: World, snapshot: tuple[np.ndarray, InteractionGraph] | None = None) -> World:
     """Advance one dt; mutates and returns the same World.
 
@@ -276,17 +296,8 @@ def step(world: World, snapshot: tuple[np.ndarray, InteractionGraph] | None = No
         acc = _forces(world, dist, g)
     except PairNumericsError as exc:
         raise SimulationNumericsError(world.step_index + 1, exc.i) from exc
-    limit = world.params.v_max / world.params.t_vmax
-    norm = _row_norms(acc)
-    over = norm > limit
-    acc[over] = (limit[over] / norm[over])[:, None] * acc[over]
-
-    world.velocities = world.velocities + acc * cfg.dt
-    world.positions = world.positions + world.velocities * cfg.dt
-    # The smooth cap engages only above v_max: repeated sub-limit
-    # application would act as drag and bleed the group's momentum.
-    for i in np.flatnonzero(_row_norms(world.velocities) > world.params.v_max).tolist():
-        world.velocities[i] = saturate_velocity(world.velocities[i], float(world.params.v_max[i]))
+    world.positions, world.velocities = integrate(
+        world.positions, world.velocities, acc, world.params, cfg.dt)
 
     if world.energies is not None:
         e = world.config.energy

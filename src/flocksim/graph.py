@@ -142,15 +142,22 @@ class _EdgeTerms(NamedTuple):
 
 def build_graph(positions: np.ndarray, params,
                 distances: np.ndarray | None = None) -> InteractionGraph:
-    """Directed edge (j, i) for every j in agent i's neighborhood;
-    ``distances`` may carry cdist(positions, positions)."""
+    """Directed edge (j, i) for every j in agent i's neighborhood.
+
+    ``distances`` may carry cdist(positions, positions), or, when the rows
+    of ``positions`` stack C independent cells of n agents each, the
+    (C, n, n) distance blocks of the cells: agents of different cells are
+    never neighbors, and no distance between them is needed.
+    """
     positions = np.asarray(positions, dtype=float)
-    n = positions.shape[0]
+    n_nodes = positions.shape[0]
     dist = cdist(positions, positions) if distances is None else distances
-    mask = dist <= agent_params(params, n).radius[:, None]
-    np.fill_diagonal(mask, False)
+    n = dist.shape[-1]
+    mask = dist.reshape(n_nodes, n) <= agent_params(params, n_nodes).radius[:, None]
+    mask.reshape(-1, n * n)[:, ::n + 1] = False  # no self edges
     receivers, sources = np.nonzero(mask)  # row-major == sorted by (i, j)
-    return InteractionGraph(n_nodes=n, sources=sources, receivers=receivers)
+    sources += receivers - receivers % n  # column in the cell -> node
+    return InteractionGraph(n_nodes=n_nodes, sources=sources, receivers=receivers)
 
 
 def laplacian(g: InteractionGraph) -> np.ndarray:
@@ -163,6 +170,8 @@ def _power(base: np.ndarray, exponents: np.ndarray, receivers: np.ndarray) -> np
     """base ** exponents[receivers], each distinct exponent applied as a Python
     float as in core: NumPy squares for a scalar 2.0 but calls its vector pow
     for an array of exponents, and the two differ in the last bit."""
+    if (exponents == exponents[0]).all():
+        return base ** float(exponents[0])
     out = np.empty_like(base)
     for value in np.unique(exponents):
         sel = exponents[receivers] == value

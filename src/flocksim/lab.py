@@ -12,13 +12,19 @@ import csv
 import dataclasses
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import product
 
+import numpy as np
+
 from .cognition import AdaptationParams, EnergyState
-from .core import CuckerSmaleParams, InteractionParams
-from .engine import ConfigError, SimConfig, SimulationNumericsError, Trajectory, as_number, run
+from .core import AgentParams, CuckerSmaleParams, InteractionParams, PairNumericsError
+from .engine import (ConfigError, SimConfig, SimulationNumericsError, Trajectory, World,
+                     as_number, initialize, integrate)
 from .environment import ObstacleSpec, TargetSpec
+from .graph import InteractionGraph, build_graph, interaction_accelerations
+from .metrics import aggregation_radius, alignment_score
 
 # Upper init-range bound for large populations; below 50 agents the
 # standard 10 m box applies.
@@ -236,38 +242,132 @@ def preset(name: str) -> ScenarioPreset:
         ) from None
 
 
+class _CellStack:
+    """Sweep cells stacked row-wise in runs of equal n: stacked cell k is
+    grid cell ids[k] (its index in ``worlds``) and owns rows
+    starts[k]:starts[k] + sizes[k] of positions, velocities and every
+    params column."""
+
+    def __init__(self, worlds: list[World]):
+        ids = sorted(range(len(worlds)), key=lambda c: worlds[c].config.n)
+        self.ids = np.array(ids, dtype=int)
+        self.sizes = np.array([worlds[c].config.n for c in ids], dtype=int)
+        self.positions = np.concatenate([worlds[c].positions for c in ids])
+        self.velocities = np.concatenate([worlds[c].velocities for c in ids])
+        self.params = AgentParams(*map(np.concatenate, zip(*(worlds[c].params for c in ids))))
+        self._index()
+
+    def _index(self):
+        self.starts = np.cumsum(self.sizes) - self.sizes
+        self.runs = []  # (first row, last row + 1, n, params rows) per run of equal n
+        for n in np.unique(self.sizes).tolist():
+            lo = int(self.starts[np.argmax(self.sizes == n)])
+            hi = lo + n * int(np.count_nonzero(self.sizes == n))
+            self.runs.append((lo, hi, n, AgentParams(*(col[lo:hi] for col in self.params))))
+
+    def snapshot(self) -> tuple[InteractionGraph, np.ndarray]:
+        """The stack's neighbor graph and each cell's minimum pair distance."""
+        sources, receivers, d_min = [], [], []
+        for lo, hi, n, params in self.runs:
+            p = self.positions[lo:hi].reshape(-1, n, self.positions.shape[1])
+            # Each cell's cdist bit for bit (squares summed axis by axis in
+            # order), and no distance across cells.
+            sq = 0.0
+            for x in np.moveaxis(p, 2, 0):
+                sq = sq + (x[:, :, None] - x[:, None, :]) ** 2
+            dist = np.sqrt(sq)
+            dist[:, range(n), range(n)] = np.inf  # distinct pairs only
+            d_min.append(dist.min(axis=(1, 2)))
+            g = build_graph(self.positions[lo:hi], params, distances=dist)
+            sources.append(lo + g.sources)
+            receivers.append(lo + g.receivers)
+        g = InteractionGraph(n_nodes=self.positions.shape[0], sources=np.concatenate(sources),
+                             receivers=np.concatenate(receivers))
+        return g, np.concatenate(d_min)
+
+    def drop(self, rows: np.ndarray, step_index: int, failures: dict) -> None:
+        """Fail each cell owning one of the ascending ``rows`` at its first
+        such row, numbered within the cell as its own run would, and
+        remove the cell's rows from the stack."""
+        cells, first = np.unique(np.searchsorted(self.starts, rows, side="right") - 1,
+                                 return_index=True)
+        for k, row in zip(cells.tolist(), rows[first].tolist()):
+            failures[int(self.ids[k])] = SimulationNumericsError(
+                step_index, row - int(self.starts[k]))
+        keep = np.ones(self.ids.shape[0], dtype=bool)
+        keep[cells] = False
+        kept_rows = np.repeat(keep, self.sizes)
+        self.ids, self.sizes = self.ids[keep], self.sizes[keep]
+        self.positions = self.positions[kept_rows]
+        self.velocities = self.velocities[kept_rows]
+        self.params = AgentParams(*(col[kept_rows] for col in self.params))
+        self._index()
+
+
 def sweep(spec: SweepSpec) -> tuple[list[SweepRow], list[str]]:
     """Run the full grid; failed cells are recorded and skipped.
 
-    Cell order (and therefore row order) is eta-major, then n, then
-    delta, then seed, independent of how cells are executed.
+    Every cell starts from engine.initialize of its own config and seed;
+    then all cells, which share dt and duration, advance in lockstep as
+    one system stacked by n.  A snapshot computes only each cell's own
+    distance block, one edge list and each cell's minimum pair distance;
+    a step is graph.interaction_accelerations and engine.integrate.  Rows
+    and failure messages are byte-identical to one engine.run per cell.
+    A cell whose forces or state turn non-finite fails at that step,
+    naming its own agent index, and leaves the stack; the others go on.
+
+    Cell order (and therefore row and failure order) is eta-major, then
+    n, then delta, then seed.
     """
+    cells = list(product(spec.etas, spec.ns, spec.deltas, range(spec.seeds)))
+    worlds = [initialize(SimConfig(
+        n=n,
+        duration=spec.duration,
+        dt=spec.dt,
+        seed=seed,
+        init_pos_range=(0.0, init_upper_for(n)),
+        init_vel_range=(-1.0, 1.0),
+        params=InteractionParams(delta=delta, eta=eta),
+    )) for eta, n, delta, seed in cells]
+    stack = _CellStack(worlds)
+    steps = worlds[0].config.n_steps
+    d_min = np.full(len(cells), np.inf)
+    failed: dict[int, SimulationNumericsError] = {}
+    k = 0
+    while stack.ids.size:
+        g, d = stack.snapshot()
+        d_min[stack.ids] = np.minimum(d_min[stack.ids], d)
+        if k == steps:
+            break
+        try:
+            acc = interaction_accelerations(g, stack.positions, stack.velocities, stack.params)
+        except PairNumericsError as exc:
+            stack.drop(np.array([exc.i]), k + 1, failed)
+            continue  # the same step again, without that cell
+        stack.positions, stack.velocities = integrate(
+            stack.positions, stack.velocities, acc, stack.params, spec.dt)
+        k += 1
+        finite = np.isfinite(stack.positions).all(axis=1) & np.isfinite(stack.velocities).all(axis=1)
+        if not finite.all():
+            stack.drop(np.flatnonzero(~finite), k, failed)
+
+    start = dict(zip(stack.ids.tolist(), stack.starts.tolist()))
     rows: list[SweepRow] = []
     failures: list[str] = []
-    for eta, n, delta, seed in product(spec.etas, spec.ns, spec.deltas, range(spec.seeds)):
-        cfg = SimConfig(
-            n=n,
-            duration=spec.duration,
-            dt=spec.dt,
-            seed=seed,
-            init_pos_range=(0.0, init_upper_for(n)),
-            init_vel_range=(-1.0, 1.0),
-            params=InteractionParams(delta=delta, eta=eta),
-        )
-        try:
-            traj = run(cfg)
-        except SimulationNumericsError as exc:
-            failures.append(f"eta={eta} n={n} delta={delta} seed={seed}: {exc}")
+    for c, (eta, n, delta, seed) in enumerate(cells):
+        if c in failed:
+            failures.append(f"eta={eta} n={n} delta={delta} seed={seed}: {failed[c]}")
             continue
-        final = traj.metrics[-1]
+        lo = start[c]
+        r_agg = aggregation_radius(stack.positions[lo:lo + n])
         rows.append(SweepRow(
             eta=eta,
             n=n,
             seed=seed,
-            h_final=final.h,
-            r_agg_final=final.r_agg,
-            d_min_overall=min(s.d_min for s in traj.metrics),
-            aggregation_lost=final.r_agg > spec.breakdown_radius,
+            h_final=alignment_score(stack.velocities[lo:lo + n]),
+            r_agg_final=r_agg,
+            d_min_overall=float(d_min[c]),
+            aggregation_lost=r_agg > spec.breakdown_radius,
             delta=delta,
         ))
     return rows, failures
@@ -400,9 +500,15 @@ def load_sweep_spec(path) -> SweepSpec:
 # Export
 
 
-def _open_csv(path):
-    fh = open(path, "w", encoding="utf-8", newline="")
-    return fh, csv.writer(fh, lineterminator="\n")
+@contextmanager
+def _csv_writer(target):
+    """CSV writer on a path, opened and closed here, or on an open text
+    stream, which stays open."""
+    if isinstance(target, (str, os.PathLike)):
+        with open(target, "w", encoding="utf-8", newline="") as fh:
+            yield csv.writer(fh, lineterminator="\n")
+    else:
+        yield csv.writer(target, lineterminator="\n")
 
 
 def _fmt(x) -> str:
@@ -421,20 +527,17 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
         header += ["delta", "eta"]
     if traj.energies is not None:
         header += ["energy"]
-    fh, writer = _open_csv(path)
-    with fh:
+    with _csv_writer(path) as writer:
         writer.writerow(header)
-        for k in range(traj.n_snapshots):
-            t = traj.times[k]
-            for i in range(traj.config.n):
-                row = [_fmt(t), str(i)]
-                row += [_fmt(x) for x in traj.positions[k, i]]
-                row += [_fmt(x) for x in traj.velocities[k, i]]
-                if adaptive:
-                    row += [_fmt(traj.deltas[k, i]), _fmt(traj.etas[k, i])]
-                if traj.energies is not None:
-                    row += [_fmt(traj.energies[k, i])]
-                writer.writerow(row)
+        for k, t in enumerate(traj.times.tolist()):
+            cols = [traj.positions[k], traj.velocities[k]]
+            if adaptive:
+                cols += [traj.deltas[k, :, None], traj.etas[k, :, None]]
+            if traj.energies is not None:
+                cols.append(traj.energies[k, :, None])
+            # tolist() gives Python floats, whose repr is _fmt's form.
+            writer.writerows([repr(t), str(i), *map(repr, values)]
+                             for i, values in enumerate(np.hstack(cols).tolist()))
 
 
 def write_metrics_csv(traj: Trajectory, path) -> None:
@@ -444,24 +547,24 @@ def write_metrics_csv(traj: Trajectory, path) -> None:
     header = ["t", "h", "r_agg", "d_avg", "d_min"]
     header += [f"edge_pos_err_{a}" for a in axes]
     header += [f"edge_vel_err_{a}" for a in axes]
-    fh, writer = _open_csv(path)
-    with fh:
+    block = np.hstack([
+        [[s.time, s.h, s.r_agg, s.d_avg, s.d_min] for s in traj.metrics],
+        [s.mean_edge_pos_err for s in traj.metrics],
+        [s.mean_edge_vel_err for s in traj.metrics],
+    ])
+    with _csv_writer(path) as writer:
         writer.writerow(header)
-        for s in traj.metrics:
-            row = [_fmt(s.time), _fmt(s.h), _fmt(s.r_agg), _fmt(s.d_avg), _fmt(s.d_min)]
-            row += [_fmt(x) for x in s.mean_edge_pos_err]
-            row += [_fmt(x) for x in s.mean_edge_vel_err]
-            writer.writerow(row)
+        writer.writerows(map(repr, values) for values in block.tolist())
 
 
 def write_sweep_csv(rows: list[SweepRow], path, include_delta: bool = False) -> None:
-    """Fixed-schema sweep summary; a delta column only for delta-axis sweeps."""
+    """Fixed-schema sweep summary to a path or an open text stream; a delta
+    column only for delta-axis sweeps."""
     header = ["eta", "n", "seed", "h_final", "r_agg_final", "d_min_overall",
               "aggregation_lost"]
     if include_delta:
         header = ["delta"] + header
-    fh, writer = _open_csv(path)
-    with fh:
+    with _csv_writer(path) as writer:
         writer.writerow(header)
         for r in rows:
             row = [_fmt(r.eta), str(r.n), str(r.seed), _fmt(r.h_final),

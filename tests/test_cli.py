@@ -96,6 +96,20 @@ def test_sweep_writes_csv(tmp_path, capsys):
     assert "cell failed: eta=3.0 n=2 delta=1e+160" in capsys.readouterr().err
 
 
+def test_sweep_without_out_dir_writes_csv_to_stdout(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"etas": [3.0, 13.0], "ns": [2, 3], "duration": 1.0}),
+                    encoding="utf-8")
+    print("before")
+    assert main(["sweep", str(spec)]) == EXIT_OK
+    print("after")
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "before" and out[-1] == "after"
+    assert out[1] == "eta,n,seed,h_final,r_agg_final,d_min_overall,aggregation_lost"
+    assert [line.split(",")[:2] for line in out[2:-1]] == [
+        ["3.0", "2"], ["3.0", "3"], ["13.0", "2"], ["13.0", "3"]]
+
+
 def test_simulate_non_finite_forces_exits_2(tmp_path, capsys):
     path = tmp_path / "overflow.json"
     path.write_text('{"n": 5, "duration": 1.0, "params": {"alpha": 400.0, "delta": 3.0}}',

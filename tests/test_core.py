@@ -131,6 +131,8 @@ def test_agent_params_table():
         col = getattr(shared, name)
         assert col.dtype == float and col.shape == (3,)
         np.testing.assert_array_equal(col, np.full(3, getattr(one, name)))
+    # The tiled shared row is bit for bit the table of three equal blocks.
+    assert np.array(shared).tobytes() == np.array(agent_params([one] * 3, 3)).tobytes()
     blocks = [InteractionParams(delta=d, alpha=a) for d, a in ((0.2, 1.5), (0.7, 2.0))]
     table = agent_params(blocks, 2)
     np.testing.assert_array_equal(table.delta, [0.2, 0.7])

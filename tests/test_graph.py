@@ -92,6 +92,20 @@ def test_asymmetric_radii_graph():
     np.testing.assert_array_equal(g.in_degrees(), [1, 0, 1])
 
 
+def test_cell_blocks_graph_is_per_cell_graphs():
+    # Three overlapping cells of 7 agents with per-agent radii: the block
+    # graph is each cell's own graph shifted to its rows, in the same order.
+    rng = np.random.default_rng(32)
+    cells = [(rng.uniform(0.0, 10.0, (7, 2)), _random_params(rng, 7)) for _ in range(3)]
+    pos = np.concatenate([p for p, _ in cells])
+    blocks = np.array([np.linalg.norm(p[:, None] - p[None], axis=2) for p, _ in cells])
+    g = build_graph(pos, [q for _, qs in cells for q in qs], distances=blocks)
+    assert g.n_nodes == 21
+    expected = [(j + 7 * c, i + 7 * c) for c, (p, qs) in enumerate(cells)
+                for j, i in build_graph(p, qs).edges]
+    assert list(g.edges) == expected
+
+
 def test_edge_order_and_degree_match_neighborhoods():
     rng = np.random.default_rng(31)
     for _ in range(5):

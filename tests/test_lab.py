@@ -1,7 +1,9 @@
 """Unit tests for presets, sweeps, config serialization, and CSV export."""
 
+import dataclasses
 import json
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -21,6 +23,8 @@ from flocksim import (
     save_config,
     sweep,
 )
+from flocksim import engine, lab
+from flocksim.engine import SimulationNumericsError
 from flocksim.lab import (
     config_from_dict,
     config_to_dict,
@@ -176,6 +180,78 @@ def test_sweep_delta_axis_rows():
         rows, failures = sweep(spec)
     assert [r.delta for r in rows] == [1.0]
     assert len(failures) == 1 and failures[0].startswith("eta=3.0 n=2 delta=1e+160")
+
+
+def _reference_sweep(spec):
+    """The per-cell loop: one engine.run per cell, rows from its MetricSamples."""
+    rows, failures = [], []
+    for eta, n, delta, seed in product(spec.etas, spec.ns, spec.deltas, range(spec.seeds)):
+        cfg = SimConfig(n=n, duration=spec.duration, dt=spec.dt, seed=seed,
+                        init_pos_range=(0.0, init_upper_for(n)), init_vel_range=(-1.0, 1.0),
+                        params=InteractionParams(delta=delta, eta=eta))
+        try:
+            traj = run(cfg)
+        except SimulationNumericsError as exc:
+            failures.append(f"eta={eta} n={n} delta={delta} seed={seed}: {exc}")
+            continue
+        final = traj.metrics[-1]
+        rows.append(SweepRow(
+            eta=eta, n=n, seed=seed, h_final=final.h, r_agg_final=final.r_agg,
+            d_min_overall=min(s.d_min for s in traj.metrics),
+            aggregation_lost=final.r_agg > spec.breakdown_radius, delta=delta,
+        ))
+    return rows, failures
+
+
+def _small_sweep_spec(seed: int, duration: float) -> SweepSpec:
+    """One seed-drawn eta per eighth of [0, 33] across n in {2, 3, 5, 10}."""
+    edges = np.linspace(0.0, 33.0, 9)
+    etas = np.random.default_rng(seed).uniform(edges[:-1], edges[1:])
+    return SweepSpec(etas=tuple(etas.tolist()), ns=(2, 3, 5, 10), duration=duration)
+
+
+_LOCKSTEP_SPECS = {
+    "mixed-n-two-seeds": SweepSpec(etas=(0.0, 3.0, 13.0, 30.0), ns=(2, 3, 10, 50),
+                                   seeds=2, duration=2.0),
+    # Overflowing cells (delta = 1e160) at several stack offsets among healthy ones.
+    "delta-axis-overflow": SweepSpec(etas=(3.0, 21.0), ns=(2, 5, 10),
+                                     deltas=(1.0, 1e160, 1.5), seeds=2, duration=2.0),
+    "spatial-fig7-short": dataclasses.replace(preset("spatial-fig7").sweep, duration=2.0),
+    "small-sweep-seed-1": _small_sweep_spec(1, 3.0),
+}
+
+
+@pytest.mark.parametrize("spec", list(_LOCKSTEP_SPECS.values()), ids=list(_LOCKSTEP_SPECS))
+def test_lockstep_sweep_matches_per_cell_runs(spec):
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows, failures = sweep(spec)
+        ref_rows, ref_failures = _reference_sweep(spec)
+    assert repr(rows) == repr(ref_rows)
+    assert failures == ref_failures
+    if spec.has_delta_axis and 1e160 in spec.deltas:
+        assert len(failures) == len(spec.etas) * len(spec.ns) * spec.seeds and rows
+
+
+def test_lockstep_sweep_drops_cells_with_non_finite_state(monkeypatch):
+    # The step's post-force stage turns rows non-finite by their own values
+    # alone, so each cell fails where its own engine.run fails: at the first
+    # such agent after integration, not in the forces.
+    real = engine.integrate
+
+    def integrate(positions, velocities, acc, params, dt):
+        positions, velocities = real(positions, velocities, acc, params, dt)
+        velocities[(positions[:, 0] > 9.5) & (positions[:, 1] < 2.0)] = np.nan
+        return positions, velocities
+
+    monkeypatch.setattr(engine, "integrate", integrate)
+    monkeypatch.setattr(lab, "integrate", integrate)
+    spec = SweepSpec(etas=(3.0, 21.0), ns=(2, 3, 5, 10), seeds=3, duration=2.0)
+    rows, failures = sweep(spec)
+    ref_rows, ref_failures = _reference_sweep(spec)
+    assert repr(rows) == repr(ref_rows)
+    assert failures == ref_failures
+    assert rows and failures
+    assert any(not f.endswith("for agent 0") for f in failures)
 
 
 # ---------------------------------------------------------------------------
