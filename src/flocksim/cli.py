@@ -42,7 +42,7 @@ def _resolve_scenario(name_or_path: str) -> SimConfig:
 
 def _cmd_simulate(args) -> int:
     config = _resolve_scenario(args.scenario)
-    overrides = {key: getattr(args, key) for key in ("seed", "dt", "duration", "workers")
+    overrides = {key: getattr(args, key) for key in ("seed", "dt", "duration")
                  if getattr(args, key) is not None}
     config = dataclasses.replace(config, **overrides)
     traj = run(config)
@@ -113,8 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=int, help="override the RNG seed")
     sim.add_argument("--dt", type=float, help="override the time step (s)")
     sim.add_argument("--duration", type=float, help="override the duration (s)")
-    sim.add_argument("--workers", type=int,
-                     help="kept for old configs (>= 1); forces always run on one thread")
     sim.add_argument("--out", help="directory for trajectory/metrics/config files")
     sim.set_defaults(func=_cmd_simulate)
 

@@ -207,7 +207,10 @@ def psi_weight(distance: float, delta: float, count: int, alpha: float) -> float
     """
     if distance <= 0:
         raise ValueError("distance must be positive")
-    return 1.0 - (delta * count / distance) ** alpha
+    try:
+        return 1.0 - (delta * count / distance) ** alpha
+    except OverflowError:  # beyond the float range: -inf, as NumPy's power gives
+        return -math.inf
 
 
 def phi_weight(speed_diff: float, eta: float, count: int, beta: float) -> float:

@@ -2,9 +2,9 @@
 
 World.params holds the per-agent gains as one table (core.AgentParams,
 an (n,) column per InteractionParams field) that every stage reads.
-run() builds one pairwise distance matrix and one neighbor graph (a
-receiver-sorted edge list) per snapshot; that snapshot's metrics and
-the next step share them, since adaptation never changes radii.  A step
+run() builds one graph.Snapshot per snapshot with neighbors(): distances,
+edge list and edge terms for World.params, read by its metrics and by the
+next step; adaptation never changes radii, so it only reweighs it.  A step
 applies, in order: adaptation of the table's delta and eta columns
 (adaptive runs), force assembly (the graph layer's edge kernel, plus
 target and obstacle terms in cluttered runs, or the comparison
@@ -27,7 +27,6 @@ import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from . import metrics as metrics_mod
 from .cognition import AdaptationParams, EnergyState, apply_adaptation
@@ -44,7 +43,7 @@ from .core import (
     saturate_velocity,
 )
 from .environment import ObstacleSpec, TargetSpec, add_environment_terms
-from .graph import InteractionGraph, build_graph, interaction_accelerations
+from .graph import Snapshot, interaction_accelerations, snapshot_of
 
 
 class ConfigError(ValueError):
@@ -226,27 +225,24 @@ def initialize(config: SimConfig) -> World:
     )
 
 
-def neighbors(world: World) -> tuple[np.ndarray, InteractionGraph]:
-    """Pairwise distances and neighbor graph of the world's current snapshot."""
-    # cdist is bit for bit the np.linalg.norm of the pairwise differences,
-    # without allocating the (n, n, m) difference array.
-    dist = cdist(world.positions, world.positions)
-    return dist, build_graph(world.positions, world.params, distances=dist)
+def neighbors(world: World) -> Snapshot:
+    """The graph.Snapshot of the world's current state and params table."""
+    return snapshot_of(world.positions, world.velocities, world.params)
 
 
-def _forces(world: World, dist: np.ndarray, g: InteractionGraph) -> np.ndarray:
+def _forces(world: World, snap: Snapshot) -> np.ndarray:
     cfg = world.config
     cs = cfg.cucker_smale
     if cs is not None:
         # Row i sums over j in index order, as cucker_smale_acceleration(i) does.
-        w = cs.k_gain / (cs.sigma_cs**2 + dist) ** cs.gamma
+        w = cs.k_gain / (cs.sigma_cs**2 + snap.distances) ** cs.gamma
         v = world.velocities
         acc = (w[:, :, None] * (v[None] - v[:, None])).sum(axis=1)
         bad = ~np.isfinite(acc).all(axis=1)
         if bad.any():  # the per-agent law names the pair
             cucker_smale_acceleration(int(np.argmax(bad)), world.positions, v, cs)
         return acc
-    acc = interaction_accelerations(g, world.positions, world.velocities, world.params)
+    acc = interaction_accelerations(snap)
     if cfg.cluttered:
         acc = add_environment_terms(acc, world.positions, cfg.target, cfg.obstacles)
     return acc
@@ -271,7 +267,7 @@ def integrate(positions: np.ndarray, velocities: np.ndarray, acc: np.ndarray,
     return positions, velocities
 
 
-def step(world: World, snapshot: tuple[np.ndarray, InteractionGraph] | None = None) -> World:
+def step(world: World, snapshot: Snapshot | None = None) -> World:
     """Advance one dt; mutates and returns the same World.
 
     ``snapshot`` is neighbors(world) if the caller has it (run shares it
@@ -279,21 +275,21 @@ def step(world: World, snapshot: tuple[np.ndarray, InteractionGraph] | None = No
     SimulationNumericsError.
     """
     cfg = world.config
-    dist, g = neighbors(world) if snapshot is None else snapshot
+    snap = neighbors(world) if snapshot is None else snapshot
 
     if cfg.adaptive:
-        world.params = apply_adaptation(
-            world.positions, world.energies, world.params, cfg.adaptation, g=g,
-        )
+        world.params = apply_adaptation(world.positions, world.energies, world.params,
+                                        cfg.adaptation, g=snap.graph)
+        snap = snap.reweighted(world.params)
 
-    for a, b in zip(*np.nonzero(np.triu(dist < EPS_POS, 1))):
+    for a, b in zip(*np.nonzero(np.triu(snap.distances < EPS_POS, 1))):
         world.events.append(Event(
             step=world.step_index + 1, time=world.time, kind="coincident_pair",
             agents=(int(a), int(b)), detail="separation impulse applied",
         ))
 
     try:
-        acc = _forces(world, dist, g)
+        acc = _forces(world, snap)
     except PairNumericsError as exc:
         raise SimulationNumericsError(world.step_index + 1, exc.i) from exc
     world.positions, world.velocities = integrate(
@@ -369,12 +365,10 @@ def run(config: SimConfig) -> Trajectory:
             etas[k] = world.params.eta
         if energies is not None:
             energies[k] = world.energies
-        dist, g = snapshot = neighbors(world)
+        snap = neighbors(world)
         samples.append(metrics_mod.sample_metrics(
-            world.time, world.positions, world.velocities, world.params,
-            g=g, distances=dist,
-        ))
-        return snapshot
+            world.time, world.positions, world.velocities, world.params, snap))
+        return snap
 
     snapshot = record(0)
     for k in range(1, steps + 1):

@@ -12,11 +12,14 @@ a node's out-edges would couple back into its own dynamics, which the
 per-agent law does not contain; the in-edge restriction makes the global
 product reproduce the per-agent sums exactly (see global_rhs).
 
-All products and quadratic forms are evaluated edge-wise from the edge
-list at every n; only stability_matrices forms dense (Kronecker)
-matrices, kept as the reference for tests.  interaction_accelerations,
-the engine's force kernel and global_rhs's product, reproduces the
-per-agent core.interaction_acceleration bit for bit.
+A Snapshot (snapshot_of) is one state's record: pairwise distances, the
+neighbor graph (a receiver-sorted edge list), a params table and the edge
+terms for it.  The force kernel interaction_accelerations, edge_errors,
+global_rhs and lyapunov_monitor read it; Snapshot.reweighted recomputes
+only the offset weights for a new table.  Products and quadratic forms are
+evaluated edge-wise at every n; only stability_matrices forms dense
+(Kronecker) matrices, kept as the reference for tests.  The kernel
+reproduces the per-agent core.interaction_acceleration bit for bit.
 """
 
 from __future__ import annotations
@@ -128,36 +131,65 @@ class EdgeErrors:
     agent_mean_vel: np.ndarray  # (n, m)
 
 
-class _EdgeTerms(NamedTuple):
-    """Per-edge dp = p_j - p_i, dv, guard flags (valid at and above EPS_POS,
-    EPS_VEL, as in core) and offset weights (0 off-guard)."""
+class Snapshot(NamedTuple):
+    """Distances (cdist, build_graph's list of cell blocks, or None), graph,
+    params table and per edge dp = p_j - p_i, dv, their norms, guard flags
+    (valid at and above EPS_POS, EPS_VEL) and offset weights (0 off-guard)."""
 
+    distances: np.ndarray | list | None
+    graph: InteractionGraph
+    params: AgentParams | None
     dp: np.ndarray
     dv: np.ndarray
+    dp_norm: np.ndarray
+    dv_norm: np.ndarray
     pos_valid: np.ndarray
     vel_valid: np.ndarray
-    w_pos: np.ndarray
-    w_vel: np.ndarray
+    w_pos: np.ndarray | None = None
+    w_vel: np.ndarray | None = None
+
+    def reweighted(self, params) -> Snapshot:
+        """This snapshot under ``params`` (same radii): new offset weights only."""
+        p, receivers = agent_params(params, self.graph.n_nodes), self.graph.receivers
+        deg = self.graph.in_degrees()[receivers]
+        w_pos = np.where(self.pos_valid, _power(p.delta[receivers] * deg / np.where(
+            self.pos_valid, self.dp_norm, 1.0), p.alpha, receivers), 0.0)
+        w_vel = np.where(self.vel_valid, _power(p.eta[receivers] / (deg * np.where(
+            self.vel_valid, self.dv_norm, 1.0)), p.beta, receivers), 0.0)
+        return self._replace(params=p, w_pos=w_pos, w_vel=w_vel)
 
 
-def build_graph(positions: np.ndarray, params,
-                distances: np.ndarray | None = None) -> InteractionGraph:
+def build_graph(positions: np.ndarray, params, distances=None) -> InteractionGraph:
     """Directed edge (j, i) for every j in agent i's neighborhood.
 
     ``distances`` may carry cdist(positions, positions), or, when the rows
-    of ``positions`` stack C independent cells of n agents each, the
-    (C, n, n) distance blocks of the cells: agents of different cells are
-    never neighbors, and no distance between them is needed.
+    of ``positions`` stack independent cells, a list of one (C, n, n) block
+    per run of C consecutive cells of n agents: agents of different cells
+    are never neighbors, and no distance between them is needed.
     """
     positions = np.asarray(positions, dtype=float)
-    n_nodes = positions.shape[0]
+    radius = agent_params(params, positions.shape[0]).radius
+    sources, receivers, lo = [], [], 0
+    for dist in distances if isinstance(distances, list) else [
+            cdist(positions, positions) if distances is None else distances]:
+        n = dist.shape[-1]
+        mask = dist.reshape(-1, n) <= radius[lo:lo + dist.size // n, None]
+        mask.reshape(-1, n * n)[:, ::n + 1] = False  # no self edges
+        rcv, src = np.nonzero(mask)  # row-major == sorted by (i, j)
+        sources.append(src + rcv - rcv % n + lo)  # column in the cell -> node
+        receivers.append(rcv + lo)
+        lo += mask.shape[0]
+    return InteractionGraph(n_nodes=positions.shape[0], sources=np.concatenate(sources),
+                            receivers=np.concatenate(receivers))
+
+
+def snapshot_of(positions: np.ndarray, velocities: np.ndarray, params, distances=None) -> Snapshot:
+    """The Snapshot of a state; ``distances`` as in build_graph."""
+    p = agent_params(params, len(positions))
+    # cdist is bit for bit the np.linalg.norm of the pairwise differences,
+    # without allocating the (n, n, m) difference array.
     dist = cdist(positions, positions) if distances is None else distances
-    n = dist.shape[-1]
-    mask = dist.reshape(n_nodes, n) <= agent_params(params, n_nodes).radius[:, None]
-    mask.reshape(-1, n * n)[:, ::n + 1] = False  # no self edges
-    receivers, sources = np.nonzero(mask)  # row-major == sorted by (i, j)
-    sources += receivers - receivers % n  # column in the cell -> node
-    return InteractionGraph(n_nodes=n_nodes, sources=sources, receivers=receivers)
+    return _edge_terms(build_graph(positions, p, distances=dist), positions, velocities, p, dist)
 
 
 def laplacian(g: InteractionGraph) -> np.ndarray:
@@ -180,20 +212,15 @@ def _power(base: np.ndarray, exponents: np.ndarray, receivers: np.ndarray) -> np
 
 
 def _edge_terms(g: InteractionGraph, positions: np.ndarray, velocities: np.ndarray,
-                p: AgentParams) -> _EdgeTerms:
+                params, distances=None) -> Snapshot:
+    """The Snapshot of a state on the edges of ``g``, weighted for ``params``."""
     sources, receivers = g.sources, g.receivers
+    positions, velocities = np.asarray(positions, dtype=float), np.asarray(velocities, dtype=float)
     dp = positions[sources] - positions[receivers]
     dv = velocities[sources] - velocities[receivers]
-    dist = np.linalg.norm(dp, axis=1)
-    dvn = np.linalg.norm(dv, axis=1)
-    deg = g.in_degrees()[receivers]
-    pos_valid = dist >= EPS_POS
-    vel_valid = dvn >= EPS_VEL
-    w_pos = np.where(pos_valid, _power(p.delta[receivers] * deg / np.where(pos_valid, dist, 1.0),
-                                       p.alpha, receivers), 0.0)
-    w_vel = np.where(vel_valid, _power(p.eta[receivers] / (deg * np.where(vel_valid, dvn, 1.0)),
-                                       p.beta, receivers), 0.0)
-    return _EdgeTerms(dp, dv, pos_valid, vel_valid, w_pos, w_vel)
+    dist, dvn = np.linalg.norm(dp, axis=1), np.linalg.norm(dv, axis=1)
+    return Snapshot(distances, g, None, dp, dv, dist, dvn, dist >= EPS_POS,
+                    dvn >= EPS_VEL).reweighted(params)
 
 
 def _segment_sums(receivers: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
@@ -202,22 +229,20 @@ def _segment_sums(receivers: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
                             for c in range(x.shape[1])])
 
 
-def interaction_accelerations(g: InteractionGraph, positions: np.ndarray,
-                              velocities: np.ndarray, params) -> np.ndarray:
-    """(n, m) interaction accelerations over the edges of ``g``: row i is
-    core.interaction_acceleration(i, ...) bit for bit, guard branches and
-    PairNumericsError (lowest agent first) included.  Aggregation and
-    alignment are summed separately in source order, then added."""
-    p = agent_params(params, g.n_nodes)
-    t = _edge_terms(g, np.asarray(positions, dtype=float), np.asarray(velocities, dtype=float), p)
-    n, m = g.n_nodes, t.dp.shape[1]
-    agg = np.where(t.pos_valid[:, None], (1.0 - t.w_pos)[:, None] * t.dp, 0.0)
+def interaction_accelerations(s: Snapshot) -> np.ndarray:
+    """(n, m) interaction accelerations over the edges of the snapshot ``s``:
+    row i is core.interaction_acceleration(i, ...) bit for bit, guard
+    branches and PairNumericsError (lowest agent first) included.
+    Aggregation and alignment are summed separately in source order."""
+    g, p = s.graph, s.params
+    n, m = g.n_nodes, s.dp.shape[1]
+    agg = np.where(s.pos_valid[:, None], (1.0 - s.w_pos)[:, None] * s.dp, 0.0)
     deg = g.in_degrees()
-    for e in np.flatnonzero(~t.pos_valid).tolist():
+    for e in np.flatnonzero(~s.pos_valid).tolist():
         i, j = int(g.receivers[e]), int(g.sources[e])
         w = psi_weight(EPS_POS, float(p.delta[i]), int(deg[i]), float(p.alpha[i]))
         agg[e] = w * _tie_break_direction(i, j, m)
-    ali = np.where(t.vel_valid[:, None], (1.0 - t.w_vel)[:, None] * t.dv, 0.0)
+    ali = np.where(s.vel_valid[:, None], (1.0 - s.w_vel)[:, None] * s.dv, 0.0)
     total = _segment_sums(g.receivers, agg, n) + _segment_sums(g.receivers, ali, n)
     bad = ~np.isfinite(total).all(axis=1)
     if bad.any():
@@ -228,35 +253,29 @@ def interaction_accelerations(g: InteractionGraph, positions: np.ndarray,
     return total
 
 
-def _oracle_terms(g, positions, velocities, params) -> _EdgeTerms:
-    """Edge terms for the matrix form, which refuses guard-band edges."""
-    positions = np.asarray(positions, dtype=float)
-    velocities = np.asarray(velocities, dtype=float)
-    t = _edge_terms(g, positions, velocities, agent_params(params, positions.shape[0]))
-    for valid, kind in ((t.pos_valid, "position"), (t.vel_valid, "velocity")):
+def _frozen(s: Snapshot) -> tuple[WeightedIncidence, EdgeState]:
+    """The frozen offset weights and edge stacks of ``s``, which the matrix
+    form, having no guard branch, refuses if an edge is degenerate."""
+    for valid, kind in ((s.pos_valid, "position"), (s.vel_valid, "velocity")):
         if not valid.all():
             e = int(np.argmin(valid))
-            raise OracleInapplicableError(int(g.sources[e]), int(g.receivers[e]), kind)
-    return t
+            raise OracleInapplicableError(int(s.graph.sources[e]), int(s.graph.receivers[e]), kind)
+    return (WeightedIncidence(dim=s.dp.shape[1], w_pos=s.w_pos, w_vel=s.w_vel),
+            EdgeState(e=s.dp.reshape(-1), e_dot=s.dv.reshape(-1),
+                      q=(s.w_pos[:, None] * s.dp).reshape(-1),
+                      q_tilde=(s.w_vel[:, None] * s.dv).reshape(-1)))
 
 
 def weighted_incidence(g: InteractionGraph, positions: np.ndarray,
                        velocities: np.ndarray, params) -> WeightedIncidence:
     """Freeze the current state's per-edge offset weights."""
-    t = _oracle_terms(g, positions, velocities, params)
-    return WeightedIncidence(dim=t.dp.shape[1], w_pos=t.w_pos, w_vel=t.w_vel)
+    return _frozen(_edge_terms(g, positions, velocities, params))[0]
 
 
 def edge_state(g: InteractionGraph, positions: np.ndarray,
                velocities: np.ndarray, params) -> EdgeState:
     """Edge differences and offset stacks for the current snapshot."""
-    t = _oracle_terms(g, positions, velocities, params)
-    return EdgeState(
-        e=t.dp.reshape(-1),
-        e_dot=t.dv.reshape(-1),
-        q=(t.w_pos[:, None] * t.dp).reshape(-1),
-        q_tilde=(t.w_vel[:, None] * t.dv).reshape(-1),
-    )
+    return _frozen(_edge_terms(g, positions, velocities, params))[1]
 
 
 def global_rhs(positions: np.ndarray, velocities: np.ndarray, params) -> np.ndarray:
@@ -267,37 +286,30 @@ def global_rhs(positions: np.ndarray, velocities: np.ndarray, params) -> np.ndar
     interaction acceleration.  Degenerate pairs raise
     OracleInapplicableError because the matrix form has no guard branch.
     """
-    positions = np.asarray(positions, dtype=float)
-    p = agent_params(params, positions.shape[0])
-    g = build_graph(positions, p)
-    _oracle_terms(g, positions, velocities, p)
-    return interaction_accelerations(g, positions, velocities, p).reshape(-1)
+    snap = snapshot_of(positions, velocities, params)
+    _frozen(snap)  # refuses degenerate edges
+    return interaction_accelerations(snap).reshape(-1)
 
 
 def edge_errors(positions: np.ndarray, velocities: np.ndarray, params,
-                g: InteractionGraph | None = None) -> EdgeErrors:
-    """Interaction residuals per directed edge and their per-agent means."""
-    positions = np.asarray(positions, dtype=float)
-    velocities = np.asarray(velocities, dtype=float)
-    n = positions.shape[0]
-    p = agent_params(params, n)
-    if g is None:
-        g = build_graph(positions, p)
-    receivers = g.receivers
-    dp, dv, pos_valid, vel_valid, w_pos, w_vel = _edge_terms(g, positions, velocities, p)
-    pos = np.where(pos_valid[:, None], dp - w_pos[:, None] * dp, 0.0)
-    vel = np.where(vel_valid[:, None], dv - w_vel[:, None] * dv, 0.0)
+                snapshot: Snapshot | None = None) -> EdgeErrors:
+    """Interaction residuals per directed edge and their per-agent means;
+    ``snapshot`` may carry snapshot_of(positions, velocities, params)."""
+    s = snapshot_of(positions, velocities, params) if snapshot is None else snapshot
+    n, receivers = s.graph.n_nodes, s.graph.receivers
+    pos = np.where(s.pos_valid[:, None], s.dp - s.w_pos[:, None] * s.dp, 0.0)
+    vel = np.where(s.vel_valid[:, None], s.dv - s.w_vel[:, None] * s.dv, 0.0)
 
-    sum_pos = _segment_sums(receivers[pos_valid], pos[pos_valid], n)
-    sum_vel = _segment_sums(receivers[vel_valid], vel[vel_valid], n)
-    cnt_pos = np.bincount(receivers[pos_valid], minlength=n).astype(float)
-    cnt_vel = np.bincount(receivers[vel_valid], minlength=n).astype(float)
+    sum_pos = _segment_sums(receivers[s.pos_valid], pos[s.pos_valid], n)
+    sum_vel = _segment_sums(receivers[s.vel_valid], vel[s.vel_valid], n)
+    cnt_pos = np.bincount(receivers[s.pos_valid], minlength=n).astype(float)
+    cnt_vel = np.bincount(receivers[s.vel_valid], minlength=n).astype(float)
     with np.errstate(invalid="ignore", divide="ignore"):
         agent_mean_pos = np.where(cnt_pos[:, None] > 0, sum_pos / cnt_pos[:, None], np.nan)
         agent_mean_vel = np.where(cnt_vel[:, None] > 0, sum_vel / cnt_vel[:, None], np.nan)
     return EdgeErrors(
-        sources=g.sources, receivers=receivers,
-        pos=pos, vel=vel, pos_valid=pos_valid, vel_valid=vel_valid,
+        sources=s.graph.sources, receivers=receivers,
+        pos=pos, vel=vel, pos_valid=s.pos_valid, vel_valid=s.vel_valid,
         agent_mean_pos=agent_mean_pos, agent_mean_vel=agent_mean_vel,
     )
 
@@ -376,11 +388,8 @@ def lyapunov_monitor(positions: np.ndarray, velocities: np.ndarray, params) -> d
     dissipation argument needs assumptions that running scenarios may
     violate.
     """
-    positions = np.asarray(positions, dtype=float)
-    p = agent_params(params, positions.shape[0])
-    g = build_graph(positions, p)
-    w = weighted_incidence(g, positions, velocities, p)
-    es = edge_state(g, positions, velocities, p)
+    snap = snapshot_of(positions, velocities, params)
+    g, (w, es) = snap.graph, _frozen(snap)
     v, v_dot = lyapunov_value(es, w, g)
     a_psd = b_psd = None
     if g.n_edges > 0:

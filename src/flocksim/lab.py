@@ -23,7 +23,7 @@ from .core import AgentParams, CuckerSmaleParams, InteractionParams, PairNumeric
 from .engine import (ConfigError, SimConfig, SimulationNumericsError, Trajectory, World,
                      as_number, initialize, integrate)
 from .environment import ObstacleSpec, TargetSpec
-from .graph import InteractionGraph, build_graph, interaction_accelerations
+from .graph import interaction_accelerations, snapshot_of
 from .metrics import aggregation_radius, alignment_score
 
 # Upper init-range bound for large populations; below 50 agents the
@@ -58,8 +58,9 @@ class SweepSpec:
             object.__setattr__(self, name, values)
         for name in ("seeds", "duration", "dt", "breakdown_radius"):
             object.__setattr__(self, name, as_number(getattr(self, name), name, name == "seeds"))
-        if not self.etas or not self.ns or not self.deltas:
-            raise ConfigError("sweep axes must be nonempty")
+        if (not (self.etas and self.ns and self.deltas)
+                or min(self.etas + self.deltas) < 0 or min(self.ns) < 2):
+            raise ConfigError("sweep axes must be nonempty, with eta, delta >= 0 and n >= 2")
         if self.seeds < 1:
             raise ConfigError("seeds must be >= 1")
         if self.dt <= 0 or self.duration < self.dt:
@@ -259,16 +260,14 @@ class _CellStack:
 
     def _index(self):
         self.starts = np.cumsum(self.sizes) - self.sizes
-        self.runs = []  # (first row, last row + 1, n, params rows) per run of equal n
-        for n in np.unique(self.sizes).tolist():
-            lo = int(self.starts[np.argmax(self.sizes == n)])
-            hi = lo + n * int(np.count_nonzero(self.sizes == n))
-            self.runs.append((lo, hi, n, AgentParams(*(col[lo:hi] for col in self.params))))
+        n, first, cells = np.unique(self.sizes, return_index=True, return_counts=True)
+        lo = self.starts[first]  # first row of each run of equal n
+        self.runs = list(zip(lo.tolist(), (lo + n * cells).tolist(), n.tolist()))  # (lo, hi, n)
 
-    def snapshot(self) -> tuple[InteractionGraph, np.ndarray]:
-        """The stack's neighbor graph and each cell's minimum pair distance."""
-        sources, receivers, d_min = [], [], []
-        for lo, hi, n, params in self.runs:
+    def distance_blocks(self) -> list[np.ndarray]:
+        """Per run of C cells of n agents, their (C, n, n) distances, inf on diagonals."""
+        blocks = []
+        for lo, hi, n in self.runs:
             p = self.positions[lo:hi].reshape(-1, n, self.positions.shape[1])
             # Each cell's cdist bit for bit (squares summed axis by axis in
             # order), and no distance across cells.
@@ -277,13 +276,8 @@ class _CellStack:
                 sq = sq + (x[:, :, None] - x[:, None, :]) ** 2
             dist = np.sqrt(sq)
             dist[:, range(n), range(n)] = np.inf  # distinct pairs only
-            d_min.append(dist.min(axis=(1, 2)))
-            g = build_graph(self.positions[lo:hi], params, distances=dist)
-            sources.append(lo + g.sources)
-            receivers.append(lo + g.receivers)
-        g = InteractionGraph(n_nodes=self.positions.shape[0], sources=np.concatenate(sources),
-                             receivers=np.concatenate(receivers))
-        return g, np.concatenate(d_min)
+            blocks.append(dist)
+        return blocks
 
     def drop(self, rows: np.ndarray, step_index: int, failures: dict) -> None:
         """Fail each cell owning one of the ascending ``rows`` at its first
@@ -310,8 +304,9 @@ def sweep(spec: SweepSpec) -> tuple[list[SweepRow], list[str]]:
     Every cell starts from engine.initialize of its own config and seed;
     then all cells, which share dt and duration, advance in lockstep as
     one system stacked by n.  A snapshot computes only each cell's own
-    distance block, one edge list and each cell's minimum pair distance;
-    a step is graph.interaction_accelerations and engine.integrate.  Rows
+    distance block and minimum pair distance; a step hands the stack's
+    graph.Snapshot over those blocks (one edge list and its edge terms) to
+    graph.interaction_accelerations, then runs engine.integrate.  Rows
     and failure messages are byte-identical to one engine.run per cell.
     A cell whose forces or state turn non-finite fails at that step,
     naming its own agent index, and leaves the stack; the others go on.
@@ -335,12 +330,14 @@ def sweep(spec: SweepSpec) -> tuple[list[SweepRow], list[str]]:
     failed: dict[int, SimulationNumericsError] = {}
     k = 0
     while stack.ids.size:
-        g, d = stack.snapshot()
+        blocks = stack.distance_blocks()
+        d = np.concatenate([block.min(axis=(1, 2)) for block in blocks])
         d_min[stack.ids] = np.minimum(d_min[stack.ids], d)
         if k == steps:
             break
+        snap = snapshot_of(stack.positions, stack.velocities, stack.params, blocks)
         try:
-            acc = interaction_accelerations(g, stack.positions, stack.velocities, stack.params)
+            acc = interaction_accelerations(snap)
         except PairNumericsError as exc:
             stack.drop(np.array([exc.i]), k + 1, failed)
             continue  # the same step again, without that cell

@@ -13,7 +13,7 @@ import numpy as np
 from scipy.spatial.distance import pdist, squareform
 
 from .core import EPS_VEL
-from .graph import InteractionGraph, edge_errors
+from .graph import Snapshot, edge_errors, snapshot_of
 
 
 @dataclass(frozen=True)
@@ -76,20 +76,19 @@ def pair_distances(positions: np.ndarray,
 
 
 def sample_metrics(time: float, positions: np.ndarray, velocities: np.ndarray,
-                   params, g: InteractionGraph | None = None,
-                   distances: np.ndarray | None = None) -> MetricSample:
-    """Assemble the full per-snapshot metric row; ``g`` and ``distances`` may
-    carry the snapshot's neighbor graph and pairwise distance matrix."""
+                   params, snapshot: Snapshot | None = None) -> MetricSample:
+    """Assemble the full per-snapshot metric row; ``snapshot`` may carry
+    graph.snapshot_of(positions, velocities, params)."""
     positions = np.asarray(positions, dtype=float)
-    velocities = np.asarray(velocities, dtype=float)
     m = positions.shape[1]
-    err = edge_errors(positions, velocities, params, g=g)
+    snapshot = snapshot_of(positions, velocities, params) if snapshot is None else snapshot
+    err = edge_errors(positions, velocities, params, snapshot)
     with np.errstate(invalid="ignore"):
         pos_rows = err.agent_mean_pos[~np.isnan(err.agent_mean_pos).any(axis=1)]
         vel_rows = err.agent_mean_vel[~np.isnan(err.agent_mean_vel).any(axis=1)]
     mean_pos = pos_rows.mean(axis=0) if pos_rows.size else np.full(m, np.nan)
     mean_vel = vel_rows.mean(axis=0) if vel_rows.size else np.full(m, np.nan)
-    d_avg, d_min = pair_distances(positions, distances)
+    d_avg, d_min = pair_distances(positions, snapshot.distances)
     return MetricSample(
         time=float(time),
         h=alignment_score(velocities),

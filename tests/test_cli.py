@@ -112,11 +112,14 @@ def test_sweep_without_out_dir_writes_csv_to_stdout(tmp_path, capsys):
 
 def test_simulate_non_finite_forces_exits_2(tmp_path, capsys):
     path = tmp_path / "overflow.json"
-    path.write_text('{"n": 5, "duration": 1.0, "params": {"alpha": 400.0, "delta": 3.0}}',
-                    encoding="utf-8")
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main(["simulate", str(path)]) == EXIT_NUMERIC
-    assert "numeric failure: non-finite state at step 1" in capsys.readouterr().err
+    for doc in ('{"n": 5, "duration": 1.0, "params": {"alpha": 400.0, "delta": 3.0}}',
+                # Coincident agents whose tie-break weight psi(EPS_POS) overflows.
+                '{"n": 2, "duration": 1.0, "init_pos_range": [5.0, 5.0], '
+                '"params": {"delta": 1e160}}'):
+        path.write_text(doc, encoding="utf-8")
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["simulate", str(path)]) == EXIT_NUMERIC
+        assert "numeric failure: non-finite state at step 1" in capsys.readouterr().err
 
 
 def test_sweep_bad_spec_exits_1(tmp_path, capsys):
@@ -124,6 +127,17 @@ def test_sweep_bad_spec_exits_1(tmp_path, capsys):
     spec.write_text(json.dumps({"etas": [3.0], "ns": [2], "bogus": 1}),
                     encoding="utf-8")
     assert main(["sweep", str(spec), "--out-dir", str(tmp_path)]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("axis", [{"deltas": [-1.0]}, {"etas": [-0.5]}, {"ns": [1]}],
+                         ids=["delta-negative", "eta-negative", "n-below-2"])
+def test_sweep_bad_axis_exits_1(tmp_path, capsys, axis):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"etas": [3.0], "ns": [2], "duration": 1.0, **axis}),
+                    encoding="utf-8")
+    assert main(["sweep", str(spec)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "config error:" in captured.err and captured.out == ""
 
 
 _BAD_VALUES = {

@@ -219,6 +219,8 @@ def test_psi_weight_sign_and_frozen_value():
     assert psi_weight(6.0, 1.0, 3, 2.0) == pytest.approx(0.75, rel=1e-15)
     assert psi_weight(1.0, 1.0, 3, 2.0) < 0  # closer than preferred: repulsion
     assert psi_weight(100.0, 1.0, 3, 2.0) > 0  # farther: attraction
+    # A power beyond the float range saturates to -inf instead of raising.
+    assert psi_weight(EPS_POS, 1e160, 1, 2.0) == -math.inf
 
 
 def test_psi_weight_rejects_nonpositive_distance():

@@ -25,6 +25,7 @@ from flocksim import (
     run,
     step,
 )
+from flocksim import graph
 from flocksim.cognition import (
     adaptive_delta,
     adaptive_eta,
@@ -539,3 +540,29 @@ def test_step_alone_reproduces_per_agent_reference():
             assert a.positions.tobytes() == b.positions.tobytes()
             assert a.velocities.tobytes() == b.velocities.tobytes()
         assert a.events == b.events and a.events
+
+
+def test_each_snapshot_computes_its_edge_terms_once(monkeypatch):
+    # One full pass of graph._edge_terms per snapshot: the snapshot's
+    # metrics and the next step read the same record, an adaptive step only
+    # reweighs it for the adapted delta/eta, and the monitor and global_rhs
+    # build theirs once per call.
+    calls = []
+    real = graph._edge_terms
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(graph, "_edge_terms", counted)
+    for name in ("flocking-fig2a", "adaptive-fig9", "cluttered-fig6", "cucker-smale-baseline"):
+        cfg = dataclasses.replace(preset(name).config, duration=1.0)
+        calls.clear()
+        run(cfg)
+        assert len(calls) == cfg.n_steps + 1, name
+    rng = np.random.default_rng(8)
+    pos, vel = rng.uniform(0.0, 6.0, (9, 2)), rng.uniform(-2.0, 2.0, (9, 2))
+    for oracle in (graph.lyapunov_monitor, graph.global_rhs):
+        calls.clear()
+        oracle(pos, vel, InteractionParams(radius=4.0))
+        assert len(calls) == 1, oracle.__name__

@@ -15,6 +15,7 @@ from flocksim import (
     EPS_VEL,
     InteractionParams,
     OracleInapplicableError,
+    PairNumericsError,
     build_graph,
     edge_errors,
     edge_state,
@@ -31,6 +32,7 @@ from flocksim.core import all_neighborhoods
 from flocksim.graph import (
     _min_sym_eigenvalue,
     interaction_accelerations,
+    snapshot_of,
     stability_matrices,
 )
 
@@ -93,17 +95,23 @@ def test_asymmetric_radii_graph():
 
 
 def test_cell_blocks_graph_is_per_cell_graphs():
-    # Three overlapping cells of 7 agents with per-agent radii: the block
-    # graph is each cell's own graph shifted to its rows, in the same order.
+    # Overlapping cells with per-agent radii, three of 7 agents then two of
+    # 4: the block graph is each cell's own graph shifted to its rows, in
+    # the same order, from one (C, n, n) block or a list of one per run.
     rng = np.random.default_rng(32)
-    cells = [(rng.uniform(0.0, 10.0, (7, 2)), _random_params(rng, 7)) for _ in range(3)]
+    cells = [(rng.uniform(0.0, 10.0, (n, 2)), _random_params(rng, n)) for n in (7, 7, 7, 4, 4)]
     pos = np.concatenate([p for p, _ in cells])
-    blocks = np.array([np.linalg.norm(p[:, None] - p[None], axis=2) for p, _ in cells])
-    g = build_graph(pos, [q for _, qs in cells for q in qs], distances=blocks)
-    assert g.n_nodes == 21
-    expected = [(j + 7 * c, i + 7 * c) for c, (p, qs) in enumerate(cells)
+    blocks = [np.array([np.linalg.norm(p[:, None] - p[None], axis=2) for p, _ in cells
+                        if len(p) == n]) for n in (7, 4)]
+    params = [q for _, qs in cells for q in qs]
+    starts = np.cumsum([0] + [len(p) for p, _ in cells])
+    expected = [(j + starts[c], i + starts[c]) for c, (p, qs) in enumerate(cells)
                 for j, i in build_graph(p, qs).edges]
+    g = build_graph(pos, params, distances=blocks)
+    assert g.n_nodes == 29
     assert list(g.edges) == expected
+    g = build_graph(pos[:21], params[:21], distances=blocks[0])
+    assert list(g.edges) == [e for e in expected if e[1] < 21]
 
 
 def test_edge_order_and_degree_match_neighborhoods():
@@ -294,11 +302,12 @@ def test_interaction_accelerations_match_per_agent_law_bitwise():
                                         beta=float(rng.choice([1.0, 1.5, 2.0])),
                                         radius=float(rng.uniform(1.0, 12.0)))
                       for _ in range(n)]
-        g = build_graph(pos, params)
+        snap = snapshot_of(pos, vel, params)
+        g = snap.graph
         nbrs = all_neighborhoods(pos, [p.radius for p in params])
         want = np.array([interaction_acceleration(i, pos, vel, params[i], nbrs=nbrs[i])
                          for i in range(n)])
-        got = interaction_accelerations(g, pos, vel, params)
+        got = interaction_accelerations(snap)
         assert got.tobytes() == want.tobytes(), trial
         dist = np.linalg.norm(pos[g.sources] - pos[g.receivers], axis=1)
         speed = np.linalg.norm(vel[g.sources] - vel[g.receivers], axis=1)
@@ -311,6 +320,26 @@ def test_interaction_accelerations_match_per_agent_law_bitwise():
     assert seen["coincident"] >= 20 and seen["still"] >= 20
     assert seen["directed"] >= 100 and seen["mixed_exponents"] >= 100
     assert seen["dims"] == {2, 3}
+
+
+def test_tie_break_overflow_kernel_matches_per_agent_law():
+    # A coincident pair whose tie-break weight psi(EPS_POS) is beyond the
+    # float range: the kernel and core.interaction_acceleration both raise
+    # PairNumericsError for the same pair, lowest agent first.
+    pos = np.array([[5.0, 5.0], [5.0, 5.0], [6.0, 5.0]])
+    vel = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    cases = {(1e160, 1e160, 1e160): (0, 1), (1.0, 1e160, 1.0): (1, 0), (1.0, 1.0, 1e160): (2, 0)}
+    for deltas, pair in cases.items():
+        params = [InteractionParams(delta=d) for d in deltas]
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(PairNumericsError) as got:
+                interaction_accelerations(snapshot_of(pos, vel, params))
+            i = got.value.i
+            for lower in range(i):
+                assert np.isfinite(interaction_acceleration(lower, pos, vel, params[lower])).all()
+            with pytest.raises(PairNumericsError) as want:
+                interaction_acceleration(i, pos, vel, params[i])
+        assert (i, got.value.j) == (want.value.i, want.value.j) == pair
 
 
 def test_global_rhs_isolated_agents_zero():

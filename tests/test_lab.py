@@ -146,7 +146,8 @@ def test_sweep_spec_validation():
     with pytest.raises(ConfigError):
         SweepSpec(etas=(3.0,), ns=(5,), duration=0.05, dt=0.1)
     for bad in (dict(etas=(math.nan,)), dict(ns=(5.7,)), dict(seeds=1.5),
-                dict(duration=math.inf)):
+                dict(duration=math.inf), dict(deltas=(1.0, -1.0)), dict(etas=(3.0, -0.1)),
+                dict(ns=(1, 5)), dict(ns=(0,))):
         with pytest.raises(ConfigError):
             SweepSpec(**{"etas": (3.0,), "ns": (5,), **bad})
     assert not SweepSpec(etas=(3.0,), ns=(5,)).has_delta_axis
