@@ -9,9 +9,10 @@ applies, in order: adaptation of the table's delta and eta columns
 (adaptive runs), force assembly (the graph layer's edge kernel, plus
 target and obstacle terms in cluttered runs, or the comparison
 consensus law over the distance matrix), then integrate(): acceleration
-rate clamp, semi-implicit Euler integration and velocity saturation,
-which lab.sweep's lockstep cells share; and energy integration when an
-energy block is configured.  Each stage works on (n, m) arrays and
+rate clamp, semi-implicit Euler and velocity saturation; and energy
+integration when an energy block is configured.  Coincident-pair events
+come from the snapshot's edge flags, so lab.sweep's stacked cells, one
+World over per-cell distance blocks, take the same step().  Each stage
 reproduces the per-agent functions bit for bit.
 
 Determinism holds for a fixed (config, seed): initialization uses
@@ -24,14 +25,13 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import metrics as metrics_mod
 from .cognition import AdaptationParams, EnergyState, apply_adaptation
 from .core import (
-    EPS_POS,
     AgentParams,
     AgentState,
     CuckerSmaleParams,
@@ -51,14 +51,13 @@ class ConfigError(ValueError):
 
 
 class SimulationNumericsError(RuntimeError):
-    """A step produced a non-finite state."""
+    """A step produced a non-finite state; ``agents`` lists every agent
+    found non-finite, ascending, and the message names the first."""
 
-    def __init__(self, step_index: int, agent: int):
+    def __init__(self, step_index: int, *agents: int):
         self.step_index = step_index
-        self.agent = agent
-        super().__init__(
-            f"non-finite state at step {step_index} for agent {agent}"
-        )
+        self.agent, self.agents = agents[0], agents
+        super().__init__(f"non-finite state at step {step_index} for agent {self.agent}")
 
 
 def as_number(value, name: str, integral: bool = False):
@@ -250,9 +249,10 @@ def _forces(world: World, snap: Snapshot) -> np.ndarray:
 
 def integrate(positions: np.ndarray, velocities: np.ndarray, acc: np.ndarray,
               params: AgentParams, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Post-force stage of a step: clamp ``acc`` in place to each agent's
+    """Post-force stage of step(): clamp ``acc`` in place to each agent's
     rate limit, then semi-implicit Euler and the speed cap; returns the new
-    (positions, velocities).  Rows are independent of each other."""
+    (positions, velocities).  Rows are independent of each other, so each
+    stacked sweep cell integrates as its own run would."""
     limit = params.v_max / params.t_vmax
     norm = _row_norms(acc)
     over = norm > limit
@@ -271,8 +271,10 @@ def step(world: World, snapshot: Snapshot | None = None) -> World:
     """Advance one dt; mutates and returns the same World.
 
     ``snapshot`` is neighbors(world) if the caller has it (run shares it
-    with the snapshot's metrics).  A non-finite force or state raises
-    SimulationNumericsError.
+    with the snapshot's metrics; lab.sweep passes one over its cells'
+    distance blocks).  A non-finite force raises SimulationNumericsError
+    before integration, naming its lowest agent; a non-finite state raises
+    it after the step, naming every such agent.
     """
     cfg = world.config
     snap = neighbors(world) if snapshot is None else snapshot
@@ -282,10 +284,13 @@ def step(world: World, snapshot: Snapshot | None = None) -> World:
                                         cfg.adaptation, g=snap.graph)
         snap = snap.reweighted(world.params)
 
-    for a, b in zip(*np.nonzero(np.triu(snap.distances < EPS_POS, 1))):
+    # One event per pair with a coincident edge, (lower, higher) ascending.
+    e = np.flatnonzero(~snap.pos_valid)
+    edges = zip(snap.graph.sources[e].tolist(), snap.graph.receivers[e].tolist())
+    for pair in sorted({tuple(sorted(edge)) for edge in edges}):
         world.events.append(Event(
             step=world.step_index + 1, time=world.time, kind="coincident_pair",
-            agents=(int(a), int(b)), detail="separation impulse applied",
+            agents=pair, detail="separation impulse applied",
         ))
 
     try:
@@ -313,7 +318,7 @@ def step(world: World, snapshot: Snapshot | None = None) -> World:
 
     finite = np.isfinite(world.positions).all(axis=1) & np.isfinite(world.velocities).all(axis=1)
     if not finite.all():
-        raise SimulationNumericsError(world.step_index, int(np.nonzero(~finite)[0][0]))
+        raise SimulationNumericsError(world.step_index, *np.flatnonzero(~finite).tolist())
     return world
 
 
@@ -347,13 +352,16 @@ def run(config: SimConfig) -> Trajectory:
     world = initialize(config)
     steps = config.n_steps
     n, m = config.n, config.m
-    times = np.empty(steps + 1)
-    positions = np.empty((steps + 1, n, m))
-    velocities = np.empty((steps + 1, n, m))
     adaptive = config.adaptive
-    deltas = np.empty((steps + 1, n)) if adaptive else None
-    etas = np.empty((steps + 1, n)) if adaptive else None
-    energies = np.empty((steps + 1, n)) if world.energies is not None else None
+    try:
+        times = np.empty(steps + 1)
+        positions = np.empty((steps + 1, n, m))
+        velocities = np.empty((steps + 1, n, m))
+        deltas = np.empty((steps + 1, n)) if adaptive else None
+        etas = np.empty((steps + 1, n)) if adaptive else None
+        energies = np.empty((steps + 1, n)) if world.energies is not None else None
+    except (MemoryError, ValueError) as exc:
+        raise ConfigError(f"cannot record {steps + 1} snapshots x {n} agents: {exc}") from exc
     samples = []
 
     def record(k: int):
@@ -385,8 +393,3 @@ def run(config: SimConfig) -> Trajectory:
         metrics=samples,
         events=world.events,
     )
-
-
-def rerun_with(config: SimConfig, **overrides) -> SimConfig:
-    """Convenience: config with replaced fields (validated anew)."""
-    return replace(config, **overrides)

@@ -19,11 +19,11 @@ from itertools import product
 import numpy as np
 
 from .cognition import AdaptationParams, EnergyState
-from .core import AgentParams, CuckerSmaleParams, InteractionParams, PairNumericsError
+from .core import AgentParams, CuckerSmaleParams, InteractionParams
 from .engine import (ConfigError, SimConfig, SimulationNumericsError, Trajectory, World,
-                     as_number, initialize, integrate)
+                     as_number, initialize, step)
 from .environment import ObstacleSpec, TargetSpec
-from .graph import interaction_accelerations, snapshot_of
+from .graph import snapshot_of
 from .metrics import aggregation_radius, alignment_score
 
 # Upper init-range bound for large populations; below 50 agents the
@@ -244,18 +244,21 @@ def preset(name: str) -> ScenarioPreset:
 
 
 class _CellStack:
-    """Sweep cells stacked row-wise in runs of equal n: stacked cell k is
-    grid cell ids[k] (its index in ``worlds``) and owns rows
-    starts[k]:starts[k] + sizes[k] of positions, velocities and every
-    params column."""
+    """Sweep cells stacked row-wise in runs of equal n, as one World whose
+    config has the spec's dt and duration and n equal to its live row
+    count: stacked cell k is grid cell ids[k] (its index in ``worlds``) and
+    owns rows starts[k]:starts[k] + sizes[k] of the world's positions,
+    velocities and every params column."""
 
-    def __init__(self, worlds: list[World]):
+    def __init__(self, worlds: list[World], spec: SweepSpec):
         ids = sorted(range(len(worlds)), key=lambda c: worlds[c].config.n)
         self.ids = np.array(ids, dtype=int)
         self.sizes = np.array([worlds[c].config.n for c in ids], dtype=int)
-        self.positions = np.concatenate([worlds[c].positions for c in ids])
-        self.velocities = np.concatenate([worlds[c].velocities for c in ids])
-        self.params = AgentParams(*map(np.concatenate, zip(*(worlds[c].params for c in ids))))
+        self.world = World(
+            SimConfig(n=int(self.sizes.sum()), duration=spec.duration, dt=spec.dt),
+            np.concatenate([worlds[c].positions for c in ids]),
+            np.concatenate([worlds[c].velocities for c in ids]),
+            AgentParams(*map(np.concatenate, zip(*(worlds[c].params for c in ids)))), None)
         self._index()
 
     def _index(self):
@@ -268,7 +271,7 @@ class _CellStack:
         """Per run of C cells of n agents, their (C, n, n) distances, inf on diagonals."""
         blocks = []
         for lo, hi, n in self.runs:
-            p = self.positions[lo:hi].reshape(-1, n, self.positions.shape[1])
+            p = self.world.positions[lo:hi].reshape(-1, n, self.world.positions.shape[1])
             # Each cell's cdist bit for bit (squares summed axis by axis in
             # order), and no distance across cells.
             sq = 0.0
@@ -279,22 +282,24 @@ class _CellStack:
             blocks.append(dist)
         return blocks
 
-    def drop(self, rows: np.ndarray, step_index: int, failures: dict) -> None:
-        """Fail each cell owning one of the ascending ``rows`` at its first
-        such row, numbered within the cell as its own run would, and
+    def drop(self, exc: SimulationNumericsError, failures: dict) -> None:
+        """Fail each cell owning one of the stacked rows ``exc.agents`` at its
+        first such row, numbered within the cell as its own run would, and
         remove the cell's rows from the stack."""
-        cells, first = np.unique(np.searchsorted(self.starts, rows, side="right") - 1,
+        cells, first = np.unique(np.searchsorted(self.starts, exc.agents, side="right") - 1,
                                  return_index=True)
-        for k, row in zip(cells.tolist(), rows[first].tolist()):
+        for k, row in zip(cells.tolist(), np.array(exc.agents)[first].tolist()):
             failures[int(self.ids[k])] = SimulationNumericsError(
-                step_index, row - int(self.starts[k]))
+                exc.step_index, row - int(self.starts[k]))
         keep = np.ones(self.ids.shape[0], dtype=bool)
         keep[cells] = False
         kept_rows = np.repeat(keep, self.sizes)
         self.ids, self.sizes = self.ids[keep], self.sizes[keep]
-        self.positions = self.positions[kept_rows]
-        self.velocities = self.velocities[kept_rows]
-        self.params = AgentParams(*(col[kept_rows] for col in self.params))
+        w = self.world
+        w.positions, w.velocities = w.positions[kept_rows], w.velocities[kept_rows]
+        w.params = AgentParams(*(col[kept_rows] for col in w.params))
+        if self.ids.size:
+            w.config = dataclasses.replace(w.config, n=int(self.sizes.sum()))
         self._index()
 
 
@@ -303,13 +308,13 @@ def sweep(spec: SweepSpec) -> tuple[list[SweepRow], list[str]]:
 
     Every cell starts from engine.initialize of its own config and seed;
     then all cells, which share dt and duration, advance in lockstep as
-    one system stacked by n.  A snapshot computes only each cell's own
-    distance block and minimum pair distance; a step hands the stack's
-    graph.Snapshot over those blocks (one edge list and its edge terms) to
-    graph.interaction_accelerations, then runs engine.integrate.  Rows
-    and failure messages are byte-identical to one engine.run per cell.
-    A cell whose forces or state turn non-finite fails at that step,
-    naming its own agent index, and leaves the stack; the others go on.
+    one World stacked by n.  A snapshot computes only each cell's own
+    distance block and minimum pair distance; engine.step advances the
+    stack on the graph.Snapshot over those blocks, as it steps a single
+    run.  Rows and failure messages are byte-identical to one engine.run
+    per cell.  A cell whose forces or state turn non-finite fails at that
+    step, naming its own agent index, and leaves the stack; the others go
+    on (after a force failure, the same step again without that cell).
 
     Cell order (and therefore row and failure order) is eta-major, then
     n, then delta, then seed.
@@ -324,29 +329,20 @@ def sweep(spec: SweepSpec) -> tuple[list[SweepRow], list[str]]:
         init_vel_range=(-1.0, 1.0),
         params=InteractionParams(delta=delta, eta=eta),
     )) for eta, n, delta, seed in cells]
-    stack = _CellStack(worlds)
-    steps = worlds[0].config.n_steps
+    stack = _CellStack(worlds, spec)
+    world = stack.world
     d_min = np.full(len(cells), np.inf)
     failed: dict[int, SimulationNumericsError] = {}
-    k = 0
     while stack.ids.size:
         blocks = stack.distance_blocks()
         d = np.concatenate([block.min(axis=(1, 2)) for block in blocks])
         d_min[stack.ids] = np.minimum(d_min[stack.ids], d)
-        if k == steps:
+        if world.step_index == world.config.n_steps:
             break
-        snap = snapshot_of(stack.positions, stack.velocities, stack.params, blocks)
         try:
-            acc = interaction_accelerations(snap)
-        except PairNumericsError as exc:
-            stack.drop(np.array([exc.i]), k + 1, failed)
-            continue  # the same step again, without that cell
-        stack.positions, stack.velocities = integrate(
-            stack.positions, stack.velocities, acc, stack.params, spec.dt)
-        k += 1
-        finite = np.isfinite(stack.positions).all(axis=1) & np.isfinite(stack.velocities).all(axis=1)
-        if not finite.all():
-            stack.drop(np.flatnonzero(~finite), k, failed)
+            step(world, snapshot_of(world.positions, world.velocities, world.params, blocks))
+        except SimulationNumericsError as exc:
+            stack.drop(exc, failed)
 
     start = dict(zip(stack.ids.tolist(), stack.starts.tolist()))
     rows: list[SweepRow] = []
@@ -356,12 +352,12 @@ def sweep(spec: SweepSpec) -> tuple[list[SweepRow], list[str]]:
             failures.append(f"eta={eta} n={n} delta={delta} seed={seed}: {failed[c]}")
             continue
         lo = start[c]
-        r_agg = aggregation_radius(stack.positions[lo:lo + n])
+        r_agg = aggregation_radius(world.positions[lo:lo + n])
         rows.append(SweepRow(
             eta=eta,
             n=n,
             seed=seed,
-            h_final=alignment_score(stack.velocities[lo:lo + n]),
+            h_final=alignment_score(world.velocities[lo:lo + n]),
             r_agg_final=r_agg,
             d_min_overall=float(d_min[c]),
             aggregation_lost=r_agg > spec.breakdown_radius,

@@ -122,6 +122,19 @@ def test_simulate_non_finite_forces_exits_2(tmp_path, capsys):
         assert "numeric failure: non-finite state at step 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc", ['{"n": 2, "duration": 1e15}',
+                                 '{"n": 2, "duration": 1.0, "dt": 1e-300}'],
+                         ids=["duration-huge", "dt-tiny"])
+def test_simulate_unrecordable_run_exits_1(tmp_path, capsys, doc):
+    # Configs that validate, but whose recording arrays cannot be allocated.
+    path = tmp_path / "huge.json"
+    path.write_text(doc, encoding="utf-8")
+    assert main(["simulate", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error: cannot record" in err and "snapshots x 2 agents" in err
+    assert "Traceback" not in err
+
+
 def test_sweep_bad_spec_exits_1(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"etas": [3.0], "ns": [2], "bogus": 1}),

@@ -40,7 +40,7 @@ from flocksim.core import (
     rate_limit,
     saturate_velocity,
 )
-from flocksim.engine import Event, rerun_with
+from flocksim.engine import Event
 from flocksim.environment import extended_acceleration
 from flocksim.lab import list_presets, preset
 from flocksim.metrics import sample_metrics
@@ -137,11 +137,11 @@ def test_n_steps_flooring():
 
 def test_rerun_with_overrides():
     cfg = SimConfig(n=4, duration=2.0, seed=1)
-    other = rerun_with(cfg, seed=9, dt=0.05)
+    other = dataclasses.replace(cfg, seed=9, dt=0.05)
     assert other.seed == 9 and other.dt == 0.05 and other.n == 4
     assert cfg.seed == 1  # original untouched
     with pytest.raises(ConfigError):
-        rerun_with(cfg, dt=-0.1)
+        dataclasses.replace(cfg, dt=-0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +251,34 @@ def test_coincident_pair_event_and_separation():
     # Impulses are equal and opposite along the first axis.
     dv = w.velocities - 0.3 * np.array([[1.0, 0.0], [1.0, 0.0]])
     np.testing.assert_allclose(dv[0], -dv[1], atol=1e-12)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_coincident_pair_events_come_from_edge_flags(m):
+    # One event per unordered pair with a coincident edge, as (lower,
+    # higher), ascending.  Wherever both radii are >= EPS_POS this is the
+    # old scan over the distance matrix; a pair closer than EPS_POS that is
+    # no edge (both radii below its distance) gets no impulse and no event.
+    rng = np.random.default_rng(40 + m)
+    n = 10
+    radii = rng.uniform(2.0, 6.0, n)
+    radii[[1, 4]] = EPS_POS / 4
+    params = tuple(InteractionParams(radius=float(r), delta=float(rng.uniform(0.5, 2.0)))
+                   for r in radii)
+    w = initialize(SimConfig(n=n, m=m, duration=1.0, seed=m, params=params))
+    w.positions = rng.uniform(0.0, 20.0, (n, m))
+    w.positions[[2, 5, 7]] = w.positions[0]  # a coincident quadruple
+    w.positions[8] = w.positions[3] + EPS_POS / 3
+    w.positions[4] = w.positions[6]  # 4 -> 6 is an edge, 6 -> 4 is not
+    w.positions[1] = w.positions[4]
+    w.positions[1, 0] += EPS_POS / 2  # 1 and 4: closer than EPS_POS, no edge
+    dist = np.linalg.norm(w.positions[:, None] - w.positions[None], axis=2)
+    old_scan = [(int(a), int(b)) for a, b in zip(*np.nonzero(np.triu(dist < EPS_POS, 1)))]
+    assert (1, 4) in old_scan and len(old_scan) == 10
+    step(w)
+    events = [e.agents for e in w.events if e.kind == "coincident_pair"]
+    assert events == [pair for pair in old_scan if pair != (1, 4)]
+    assert all(e.step == 1 and e.time == 0.0 for e in w.events)
 
 
 def test_negative_energy_event_logged_once_per_agent():

@@ -24,6 +24,7 @@ from flocksim import (
     sweep,
 )
 from flocksim import engine, lab
+from flocksim.core import PairNumericsError
 from flocksim.engine import SimulationNumericsError
 from flocksim.lab import (
     config_from_dict,
@@ -245,7 +246,6 @@ def test_lockstep_sweep_drops_cells_with_non_finite_state(monkeypatch):
         return positions, velocities
 
     monkeypatch.setattr(engine, "integrate", integrate)
-    monkeypatch.setattr(lab, "integrate", integrate)
     spec = SweepSpec(etas=(3.0, 21.0), ns=(2, 3, 5, 10), seeds=3, duration=2.0)
     rows, failures = sweep(spec)
     ref_rows, ref_failures = _reference_sweep(spec)
@@ -253,6 +253,42 @@ def test_lockstep_sweep_drops_cells_with_non_finite_state(monkeypatch):
     assert failures == ref_failures
     assert rows and failures
     assert any(not f.endswith("for agent 0") for f in failures)
+
+
+def test_sweep_steps_only_through_engine_step(monkeypatch):
+    # lab.sweep has no step path of its own: a healthy spec makes one
+    # engine.step call per step, and each cell whose forces overflow adds
+    # one, the same step retried without that cell.
+    calls = []
+    real = engine.step
+
+    def counted(world, snapshot=None):
+        calls.append(world.config.n)
+        return real(world, snapshot)
+
+    for module in (engine, lab):
+        for name, value in list(vars(module).items()):
+            if value is real:
+                monkeypatch.setattr(module, name, counted)
+    healthy = SweepSpec(etas=(3.0, 21.0), ns=(2, 5), seeds=2, duration=1.0)
+    n_steps = SimConfig(n=2, duration=healthy.duration, dt=healthy.dt).n_steps
+    sweep(healthy)
+    assert len(calls) == n_steps and set(calls) == {2 * (2 + 5) * 2}
+
+    calls.clear()
+    spec = _LOCKSTEP_SPECS["delta-axis-overflow"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows, failures = sweep(spec)
+        sweep_calls = len(calls)
+        for eta, n, delta, seed in product(spec.etas, spec.ns, spec.deltas, range(spec.seeds)):
+            if delta == 1e160:  # its own run fails in the forces
+                with pytest.raises(SimulationNumericsError) as exc:
+                    run(SimConfig(n=n, duration=spec.duration, dt=spec.dt, seed=seed,
+                                  init_pos_range=(0.0, init_upper_for(n)),
+                                  params=InteractionParams(delta=delta, eta=eta)))
+                assert isinstance(exc.value.__cause__, PairNumericsError)
+    assert rows and len(failures) == 12
+    assert sweep_calls == SimConfig(n=2, duration=spec.duration).n_steps + len(failures)
 
 
 # ---------------------------------------------------------------------------
