@@ -12,7 +12,7 @@ import dataclasses
 import os
 import sys
 
-from .engine import ConfigError, SimConfig, SimulationNumericsError, run
+from .engine import ConfigError, SimConfig, SimulationNumericsError, empty_trajectory, run
 from .lab import (
     export_all,
     list_presets,
@@ -84,6 +84,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_validate(args) -> int:
     config = load_config(args.config)
+    empty_trajectory(config)  # refuses a run too long to record, as simulate does
     mode = "cucker-smale" if config.cucker_smale else (
         "adaptive" if config.adaptive else (
             "cluttered" if config.cluttered else "base"))

@@ -80,11 +80,12 @@ def _normalize_ranges(value, m: int, name: str) -> tuple[tuple[float, float], ..
         arr = np.tile(arr, (m, 1))
     if arr.shape != (m, 2):
         raise ConfigError(f"{name}: expected (lo, hi) or {m} per-axis pairs")
-    if not np.isfinite(arr).all():
-        raise ConfigError(f"{name}: bounds must be finite")
-    if np.any(arr[:, 0] > arr[:, 1]):
+    ranges = tuple((float(lo), float(hi)) for lo, hi in arr)
+    if not all(math.isfinite(hi - lo) for lo, hi in ranges):  # NaN/inf bound or width
+        raise ConfigError(f"{name}: bounds and their width hi - lo must be finite")
+    if any(lo > hi for lo, hi in ranges):
         raise ConfigError(f"{name}: ranges must satisfy lo <= hi")
-    return tuple((float(lo), float(hi)) for lo, hi in arr)
+    return ranges
 
 
 @dataclass(frozen=True)
@@ -200,18 +201,17 @@ class World:
 
 
 def initialize(config: SimConfig) -> World:
-    """Seeded initial world; per-agent spawned streams, position then velocity."""
-    streams = np.random.SeedSequence(config.seed).spawn(config.n)
-    positions = np.empty((config.n, config.m))
-    velocities = np.empty((config.n, config.m))
-    pos_lo = np.array([lo for lo, _ in config.init_pos_range])
-    pos_hi = np.array([hi for _, hi in config.init_pos_range])
-    vel_lo = np.array([lo for lo, _ in config.init_vel_range])
-    vel_hi = np.array([hi for _, hi in config.init_vel_range])
-    for i, ss in enumerate(streams):
-        rng = np.random.Generator(np.random.PCG64(ss))
-        positions[i] = rng.uniform(pos_lo, pos_hi)
-        velocities[i] = rng.uniform(vel_lo, vel_hi)
+    """Seeded initial world; per-agent spawned streams, position then velocity.
+
+    Each row is Generator(PCG64(stream)).uniform(lo, hi) bit for bit, as
+    NumPy computes it: lo + (hi - lo) * u, u = (raw >> 11) * 2**-53 per raw draw.
+    """
+    m = config.m
+    raw = np.array([np.random.PCG64(ss).random_raw(2 * m)
+                    for ss in np.random.SeedSequence(config.seed).spawn(config.n)])
+    lo, hi = np.array(config.init_pos_range + config.init_vel_range).T
+    state = lo + (hi - lo) * ((raw >> 11) * 2.0**-53)
+    positions, velocities = state[:, :m].copy(), state[:, m:].copy()
     energies = None
     if config.energy is not None:
         energies = np.full(config.n, float(config.energy.energy))
@@ -347,49 +347,45 @@ class Trajectory:
         ]
 
 
+def empty_trajectory(config: SimConfig) -> Trajectory:
+    """The Trajectory that run(config) fills: unset arrays for its n_steps + 1
+    snapshots, no metrics, no events.  ConfigError if they cannot be
+    allocated; flocksim validate calls it too, so both refuse alike."""
+    s, n, m = config.n_steps + 1, config.n, config.m
+    try:
+        return Trajectory(
+            config=config, times=np.empty(s), positions=np.empty((s, n, m)),
+            velocities=np.empty((s, n, m)),
+            deltas=np.empty((s, n)) if config.adaptive else None,
+            etas=np.empty((s, n)) if config.adaptive else None,
+            energies=np.empty((s, n)) if config.energy is not None else None,
+            metrics=[], events=[])
+    except (MemoryError, ValueError) as exc:
+        raise ConfigError(f"cannot record {s} snapshots x {n} agents: {exc}") from exc
+
+
 def run(config: SimConfig) -> Trajectory:
     """Execute n_steps steps, recording state and metrics at every snapshot."""
     world = initialize(config)
-    steps = config.n_steps
-    n, m = config.n, config.m
-    adaptive = config.adaptive
-    try:
-        times = np.empty(steps + 1)
-        positions = np.empty((steps + 1, n, m))
-        velocities = np.empty((steps + 1, n, m))
-        deltas = np.empty((steps + 1, n)) if adaptive else None
-        etas = np.empty((steps + 1, n)) if adaptive else None
-        energies = np.empty((steps + 1, n)) if world.energies is not None else None
-    except (MemoryError, ValueError) as exc:
-        raise ConfigError(f"cannot record {steps + 1} snapshots x {n} agents: {exc}") from exc
-    samples = []
+    traj = empty_trajectory(config)
 
     def record(k: int):
-        times[k] = world.time
-        positions[k] = world.positions
-        velocities[k] = world.velocities
-        if adaptive:
-            deltas[k] = world.params.delta
-            etas[k] = world.params.eta
-        if energies is not None:
-            energies[k] = world.energies
+        traj.times[k] = world.time
+        traj.positions[k] = world.positions
+        traj.velocities[k] = world.velocities
+        if config.adaptive:
+            traj.deltas[k] = world.params.delta
+            traj.etas[k] = world.params.eta
+        if traj.energies is not None:
+            traj.energies[k] = world.energies
         snap = neighbors(world)
-        samples.append(metrics_mod.sample_metrics(
+        traj.metrics.append(metrics_mod.sample_metrics(
             world.time, world.positions, world.velocities, world.params, snap))
         return snap
 
     snapshot = record(0)
-    for k in range(1, steps + 1):
+    for k in range(1, config.n_steps + 1):
         step(world, snapshot)
         snapshot = record(k)
-    return Trajectory(
-        config=config,
-        times=times,
-        positions=positions,
-        velocities=velocities,
-        deltas=deltas,
-        etas=etas,
-        energies=energies,
-        metrics=samples,
-        events=world.events,
-    )
+    traj.events = world.events
+    return traj

@@ -175,7 +175,7 @@ def build_graph(positions: np.ndarray, params, distances=None) -> InteractionGra
         n = dist.shape[-1]
         mask = dist.reshape(-1, n) <= radius[lo:lo + dist.size // n, None]
         mask.reshape(-1, n * n)[:, ::n + 1] = False  # no self edges
-        rcv, src = np.nonzero(mask)  # row-major == sorted by (i, j)
+        rcv, src = np.divmod(np.flatnonzero(mask), n)  # row-major == sorted by (i, j)
         sources.append(src + rcv - rcv % n + lo)  # column in the cell -> node
         receivers.append(rcv + lo)
         lo += mask.shape[0]
@@ -216,9 +216,11 @@ def _edge_terms(g: InteractionGraph, positions: np.ndarray, velocities: np.ndarr
     """The Snapshot of a state on the edges of ``g``, weighted for ``params``."""
     sources, receivers = g.sources, g.receivers
     positions, velocities = np.asarray(positions, dtype=float), np.asarray(velocities, dtype=float)
-    dp = positions[sources] - positions[receivers]
-    dv = velocities[sources] - velocities[receivers]
-    dist, dvn = np.linalg.norm(dp, axis=1), np.linalg.norm(dv, axis=1)
+    dp = positions.take(sources, axis=0) - positions.take(receivers, axis=0)
+    dv = velocities.take(sources, axis=0) - velocities.take(receivers, axis=0)
+    # np.linalg.norm(x, axis=1) is sqrt(add.reduce(x * x, axis=1)), which adds
+    # fewer than 8 terms left to right: summing the m columns gives its bits.
+    dist, dvn = (np.sqrt(sum((x * x).T)) for x in (dp, dv))
     return Snapshot(distances, g, None, dp, dv, dist, dvn, dist >= EPS_POS,
                     dvn >= EPS_VEL).reweighted(params)
 
@@ -236,13 +238,13 @@ def interaction_accelerations(s: Snapshot) -> np.ndarray:
     Aggregation and alignment are summed separately in source order."""
     g, p = s.graph, s.params
     n, m = g.n_nodes, s.dp.shape[1]
-    agg = np.where(s.pos_valid[:, None], (1.0 - s.w_pos)[:, None] * s.dp, 0.0)
-    deg = g.in_degrees()
-    for e in np.flatnonzero(~s.pos_valid).tolist():
+    agg, deg = (1.0 - s.w_pos)[:, None] * s.dp, g.in_degrees()
+    for e in np.flatnonzero(~s.pos_valid).tolist():  # sets every guard row
         i, j = int(g.receivers[e]), int(g.sources[e])
         w = psi_weight(EPS_POS, float(p.delta[i]), int(deg[i]), float(p.alpha[i]))
         agg[e] = w * _tie_break_direction(i, j, m)
-    ali = np.where(s.vel_valid[:, None], (1.0 - s.w_vel)[:, None] * s.dv, 0.0)
+    ali = (1.0 - s.w_vel)[:, None] * s.dv
+    ali[~s.vel_valid] = 0.0
     total = _segment_sums(g.receivers, agg, n) + _segment_sums(g.receivers, ali, n)
     bad = ~np.isfinite(total).all(axis=1)
     if bad.any():
@@ -297,13 +299,13 @@ def edge_errors(positions: np.ndarray, velocities: np.ndarray, params,
     ``snapshot`` may carry snapshot_of(positions, velocities, params)."""
     s = snapshot_of(positions, velocities, params) if snapshot is None else snapshot
     n, receivers = s.graph.n_nodes, s.graph.receivers
-    pos = np.where(s.pos_valid[:, None], s.dp - s.w_pos[:, None] * s.dp, 0.0)
-    vel = np.where(s.vel_valid[:, None], s.dv - s.w_vel[:, None] * s.dv, 0.0)
-
-    sum_pos = _segment_sums(receivers[s.pos_valid], pos[s.pos_valid], n)
-    sum_vel = _segment_sums(receivers[s.vel_valid], vel[s.vel_valid], n)
-    cnt_pos = np.bincount(receivers[s.pos_valid], minlength=n).astype(float)
-    cnt_vel = np.bincount(receivers[s.vel_valid], minlength=n).astype(float)
+    pos, vel = s.dp - s.w_pos[:, None] * s.dp, s.dv - s.w_vel[:, None] * s.dv
+    pos[~s.pos_valid], vel[~s.vel_valid] = 0.0, 0.0
+    rcv_pos, rcv_vel = receivers.compress(s.pos_valid), receivers.compress(s.vel_valid)
+    sum_pos = _segment_sums(rcv_pos, pos.compress(s.pos_valid, axis=0), n)
+    sum_vel = _segment_sums(rcv_vel, vel.compress(s.vel_valid, axis=0), n)
+    cnt_pos = np.bincount(rcv_pos, minlength=n).astype(float)
+    cnt_vel = np.bincount(rcv_vel, minlength=n).astype(float)
     with np.errstate(invalid="ignore", divide="ignore"):
         agent_mean_pos = np.where(cnt_pos[:, None] > 0, sum_pos / cnt_pos[:, None], np.nan)
         agent_mean_vel = np.where(cnt_vel[:, None] > 0, sum_vel / cnt_vel[:, None], np.nan)

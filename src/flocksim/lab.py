@@ -8,7 +8,6 @@ silently running a different experiment.  All exports are plain CSV
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
 import os
@@ -494,14 +493,15 @@ def load_sweep_spec(path) -> SweepSpec:
 
 
 @contextmanager
-def _csv_writer(target):
-    """CSV writer on a path, opened and closed here, or on an open text
-    stream, which stays open."""
+def _csv_stream(target):
+    """Text stream on a path, opened and closed here, or an open text stream,
+    which stays open.  No CSV field written holds a comma, quote or line
+    break, so rows are their fields joined by "," with no quoting."""
     if isinstance(target, (str, os.PathLike)):
         with open(target, "w", encoding="utf-8", newline="") as fh:
-            yield csv.writer(fh, lineterminator="\n")
+            yield fh
     else:
-        yield csv.writer(target, lineterminator="\n")
+        yield target
 
 
 def _fmt(x) -> str:
@@ -520,17 +520,18 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
         header += ["delta", "eta"]
     if traj.energies is not None:
         header += ["energy"]
-    with _csv_writer(path) as writer:
-        writer.writerow(header)
+    with _csv_stream(path) as fh:
+        fh.write(",".join(header) + "\n")
         for k, t in enumerate(traj.times.tolist()):
             cols = [traj.positions[k], traj.velocities[k]]
             if adaptive:
                 cols += [traj.deltas[k, :, None], traj.etas[k, :, None]]
             if traj.energies is not None:
                 cols.append(traj.energies[k, :, None])
-            # tolist() gives Python floats, whose repr is _fmt's form.
-            writer.writerows([repr(t), str(i), *map(repr, values)]
-                             for i, values in enumerate(np.hstack(cols).tolist()))
+            # tolist() gives Python floats, whose repr is _fmt's form; a
+            # list's repr joins its items' reprs with ", ".
+            fh.write("".join(repr(t) + f",{i}," + repr(row)[1:-1].replace(", ", ",") + "\n"
+                             for i, row in enumerate(np.hstack(cols).tolist())))
 
 
 def write_metrics_csv(traj: Trajectory, path) -> None:
@@ -545,9 +546,9 @@ def write_metrics_csv(traj: Trajectory, path) -> None:
         [s.mean_edge_pos_err for s in traj.metrics],
         [s.mean_edge_vel_err for s in traj.metrics],
     ])
-    with _csv_writer(path) as writer:
-        writer.writerow(header)
-        writer.writerows(map(repr, values) for values in block.tolist())
+    with _csv_stream(path) as fh:
+        fh.write(",".join(header) + "\n")
+        fh.write("".join(",".join(map(repr, row)) + "\n" for row in block.tolist()))
 
 
 def write_sweep_csv(rows: list[SweepRow], path, include_delta: bool = False) -> None:
@@ -557,15 +558,15 @@ def write_sweep_csv(rows: list[SweepRow], path, include_delta: bool = False) -> 
               "aggregation_lost"]
     if include_delta:
         header = ["delta"] + header
-    with _csv_writer(path) as writer:
-        writer.writerow(header)
+    with _csv_stream(path) as fh:
+        fh.write(",".join(header) + "\n")
         for r in rows:
             row = [_fmt(r.eta), str(r.n), str(r.seed), _fmt(r.h_final),
                    _fmt(r.r_agg_final), _fmt(r.d_min_overall),
                    "true" if r.aggregation_lost else "false"]
             if include_delta:
                 row = [_fmt(r.delta)] + row
-            writer.writerow(row)
+            fh.write(",".join(row) + "\n")
 
 
 def export(traj: Trajectory, format: str, path) -> str:

@@ -126,13 +126,30 @@ def test_simulate_non_finite_forces_exits_2(tmp_path, capsys):
                                  '{"n": 2, "duration": 1.0, "dt": 1e-300}'],
                          ids=["duration-huge", "dt-tiny"])
 def test_simulate_unrecordable_run_exits_1(tmp_path, capsys, doc):
-    # Configs that validate, but whose recording arrays cannot be allocated.
+    # Well-formed configs whose recording arrays cannot be allocated.
     path = tmp_path / "huge.json"
     path.write_text(doc, encoding="utf-8")
     assert main(["simulate", str(path)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "config error: cannot record" in err and "snapshots x 2 agents" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("doc", ['{"n": 2, "duration": 1e15}',
+                                 '{"n": 2, "duration": 1.0, "dt": 1e-300}'],
+                         ids=["duration-huge", "dt-tiny"])
+def test_validate_refuses_unrecordable_run_as_simulate_does(tmp_path, capsys, doc):
+    path = tmp_path / "huge.json"
+    path.write_text(doc, encoding="utf-8")
+    outcomes = []
+    for command in ("validate", "simulate"):
+        code = main([command, str(path)])
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err and captured.out == ""
+        outcomes.append((code, captured.err))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == EXIT_CONFIG
+    assert outcomes[0][1].startswith("config error: cannot record ")
 
 
 def test_sweep_bad_spec_exits_1(tmp_path, capsys):
@@ -158,6 +175,9 @@ _BAD_VALUES = {
     "duration-nan": '{"n": 4, "duration": NaN}',
     "n-fractional": '{"n": 5.7, "duration": 1.0}',
     "init-range-nan": '{"n": 4, "duration": 1.0, "init_pos_range": [NaN, 1.0]}',
+    # Finite bounds whose width hi - lo overflows: seeding would give inf/NaN.
+    "init-width-overflow": '{"n": 4, "duration": 1.0, "init_pos_range": [-1e308, 1e308]}',
+    "vel-width-overflow": '{"n": 4, "duration": 1.0, "init_vel_range": [[0, 1], [-1e308, 1e308]]}',
     "flag-string": '{"n": 4, "duration": 1.0, "adaptive": "false"}',
     "delta-nan": '{"n": 4, "duration": 1.0, "params": {"delta": NaN}}',
     "radius-infinite": '{"n": 4, "duration": 1.0, "params": {"radius": Infinity}}',

@@ -170,6 +170,31 @@ def test_initialize_respects_ranges():
     assert w.time == 0.0 and w.step_index == 0
 
 
+def test_initialize_matches_per_agent_generator_uniform():
+    # The per-agent Generator.uniform loop that initialize replaces with raw
+    # draws, written out as the oracle; per-axis ranges with lo == hi and
+    # negative bounds, and one scalar (lo, hi) pair.
+    ranges = {2: ([(-3.5, 2.0), (4.0, 4.0)], [(-2.5, -0.5), (-1.0, 1.0)]),
+              3: ([(0.0, 75.0), (-1e3, -1e-3), (-7.25, -7.25)], (-1.0, 1.0))}
+    for seed in range(4):
+        for n in (2, 17, 300):
+            for m in (2, 3):
+                pos_range, vel_range = ranges[m]
+                world = initialize(SimConfig(n=n, m=m, duration=1.0, seed=seed,
+                                             init_pos_range=pos_range,
+                                             init_vel_range=vel_range))
+                bounds = [np.broadcast_to(np.array(r, dtype=float), (m, 2)).T
+                          for r in (pos_range, vel_range)]
+                pos, vel = np.empty((n, m)), np.empty((n, m))
+                for i, ss in enumerate(np.random.SeedSequence(seed).spawn(n)):
+                    rng = np.random.Generator(np.random.PCG64(ss))
+                    pos[i] = rng.uniform(*bounds[0])
+                    vel[i] = rng.uniform(*bounds[1])
+                assert world.positions.tobytes() == pos.tobytes(), (seed, n, m)
+                assert world.velocities.tobytes() == vel.tobytes(), (seed, n, m)
+                assert world.positions.flags.c_contiguous and world.velocities.flags.c_contiguous
+
+
 def test_initialize_fills_energies():
     cfg = SimConfig(n=4, duration=1.0,
                     energy=EnergyState(energy=80.0, initial=80.0))
@@ -542,6 +567,13 @@ def test_run_reproduces_per_agent_reference_heterogeneous_adaptive():
     cfg = dataclasses.replace(preset("adaptive-fig9").config, n=12, duration=15.0, seed=3,
                               params=params, energy=EnergyState(energy=6.0, initial=6.0))
     _assert_run_matches_reference(cfg)
+
+
+def test_run_reproduces_per_agent_reference_at_benchmark_scale():
+    # The large-flock benchmark's run (n=300, ~4000 edges) cut to 3 steps.
+    _assert_run_matches_reference(SimConfig(
+        n=300, m=2, dt=0.1, duration=0.3, seed=1, init_pos_range=(0.0, 75.0),
+        init_vel_range=(-1.0, 1.0), params=InteractionParams(delta=1.0, eta=3.0, radius=10.0)))
 
 
 def test_step_alone_reproduces_per_agent_reference():

@@ -28,9 +28,10 @@ from flocksim import (
     neighborhood,
     weighted_incidence,
 )
-from flocksim.core import all_neighborhoods
+from flocksim.core import _tie_break_direction, all_neighborhoods, psi_weight
 from flocksim.graph import (
     _min_sym_eigenvalue,
+    _segment_sums,
     interaction_accelerations,
     snapshot_of,
     stability_matrices,
@@ -112,6 +113,54 @@ def test_cell_blocks_graph_is_per_cell_graphs():
     assert list(g.edges) == expected
     g = build_graph(pos[:21], params[:21], distances=blocks[0])
     assert list(g.edges) == [e for e in expected if e[1] < 21]
+
+
+def _nonzero_form_edges(positions, radius, blocks):
+    """build_graph's (sources, receivers) written with the 2-D np.nonzero."""
+    sources, receivers, lo = [], [], 0
+    for dist in blocks:
+        n = dist.shape[-1]
+        mask = dist.reshape(-1, n) <= radius[lo:lo + dist.size // n, None]
+        mask.reshape(-1, n * n)[:, ::n + 1] = False
+        rcv, src = np.nonzero(mask)
+        sources.append(src + rcv - rcv % n + lo)
+        receivers.append(rcv + lo)
+        lo += mask.shape[0]
+    return np.concatenate(sources), np.concatenate(receivers)
+
+
+def test_edge_list_equals_nonzero_form():
+    # Per-agent radii on an integer lattice, where many pairs sit at exactly
+    # a radius (3-4-5 triangles, unit steps): such a pair is an edge.  Then
+    # (C, n, n) cell blocks, as one block and as a list of runs.
+    rng = np.random.default_rng(91)
+    exact = 0
+    for trial in range(30):
+        n = int(rng.integers(2, 30))
+        pos = rng.integers(0, 8, (n, 2)).astype(float)
+        radius = rng.choice([1.0, 2.0, 5.0, 2.5], n)
+        params = [InteractionParams(radius=float(r)) for r in radius]
+        dist = np.linalg.norm(pos[:, None] - pos[None], axis=2)
+        exact += int(np.count_nonzero(dist == radius[:, None]))
+        g = build_graph(pos, params)
+        src, rcv = _nonzero_form_edges(pos, radius, [dist])
+        assert g.sources.tobytes() == src.tobytes() and g.receivers.tobytes() == rcv.tobytes()
+        assert g.sources.dtype == src.dtype and g.receivers.dtype == rcv.dtype
+    assert exact >= 50
+    sizes = (6, 6, 6, 3, 3)
+    cells = [rng.integers(0, 5, (n, 2)).astype(float) for n in sizes]
+    radius = rng.choice([1.0, 2.0, 5.0], sum(sizes))
+    params = [InteractionParams(radius=float(r)) for r in radius]
+    pos = np.concatenate(cells)
+    blocks = [np.array([np.linalg.norm(c[:, None] - c[None], axis=2) for c in cells
+                        if len(c) == n]) for n in (6, 3)]
+    for parts in (blocks, blocks[:1]):
+        rows = sum(b.shape[0] * b.shape[1] for b in parts)
+        g = build_graph(pos[:rows], params[:rows], distances=parts)
+        src, rcv = _nonzero_form_edges(pos[:rows], radius[:rows], parts)
+        assert g.sources.tobytes() == src.tobytes() and g.receivers.tobytes() == rcv.tobytes()
+    g = build_graph(pos[:18], params[:18], distances=blocks[0])
+    assert g.sources.tobytes() == _nonzero_form_edges(pos[:18], radius[:18], blocks[:1])[0].tobytes()
 
 
 def test_edge_order_and_degree_match_neighborhoods():
@@ -320,6 +369,71 @@ def test_interaction_accelerations_match_per_agent_law_bitwise():
     assert seen["coincident"] >= 20 and seen["still"] >= 20
     assert seen["directed"] >= 100 and seen["mixed_exponents"] >= 100
     assert seen["dims"] == {2, 3}
+
+
+def _guard_band_states(rng):
+    """Seeded states with coincident and near-coincident pairs (offsets of
+    either sign below EPS_POS), equal and near-equal velocities (below
+    EPS_VEL), per-agent radii and per-agent delta/eta, in 2-D and 3-D."""
+    for trial in range(60):
+        n, m = int(rng.integers(3, 20)), 2 + trial % 2
+        pos = rng.uniform(0.0, 6.0, (n, m))
+        vel = rng.uniform(-2.0, 2.0, (n, m))
+        pos[1] = pos[0]
+        pos[2] = pos[0] - rng.uniform(0.0, 0.5, m) * EPS_POS
+        vel[2] = vel[1]
+        vel[-1] = vel[0] - rng.uniform(0.0, 0.5, m) * EPS_VEL
+        params = [InteractionParams(delta=float(rng.uniform(0.2, 3.0)),
+                                    eta=float(rng.uniform(0.0, 5.0)),
+                                    alpha=float(rng.choice([1.0, 2.0])),
+                                    radius=float(rng.uniform(2.0, 10.0))) for _ in range(n)]
+        yield pos, vel, params
+
+
+def test_edge_terms_equal_fancy_index_and_norm_forms():
+    # The snapshot's take() gathers and column-sum norms against
+    # positions[sources] and np.linalg.norm(x, axis=1), bit for bit.
+    for pos, vel, params in _guard_band_states(np.random.default_rng(17)):
+        s = snapshot_of(pos, vel, params)
+        src, rcv = s.graph.sources, s.graph.receivers
+        dp, dv = pos[src] - pos[rcv], vel[src] - vel[rcv]
+        assert s.dp.tobytes() == dp.tobytes() and s.dv.tobytes() == dv.tobytes()
+        assert s.dp_norm.tobytes() == np.linalg.norm(dp, axis=1).tobytes()
+        assert s.dv_norm.tobytes() == np.linalg.norm(dv, axis=1).tobytes()
+
+
+def test_kernel_and_edge_errors_equal_where_forms():
+    # interaction_accelerations and edge_errors against their np.where and
+    # boolean-index forms, written out here, bit for bit; guard rows of the
+    # residuals are +0.0 sentinels, never -0.0.
+    seen_pos = seen_vel = 0
+    for pos, vel, params in _guard_band_states(np.random.default_rng(18)):
+        s = snapshot_of(pos, vel, params)
+        g, p = s.graph, s.params
+        n, m = g.n_nodes, s.dp.shape[1]
+        agg = np.where(s.pos_valid[:, None], (1.0 - s.w_pos)[:, None] * s.dp, 0.0)
+        deg = g.in_degrees()
+        for e in np.flatnonzero(~s.pos_valid).tolist():
+            i, j = int(g.receivers[e]), int(g.sources[e])
+            agg[e] = psi_weight(EPS_POS, float(p.delta[i]), int(deg[i]),
+                                float(p.alpha[i])) * _tie_break_direction(i, j, m)
+        ali = np.where(s.vel_valid[:, None], (1.0 - s.w_vel)[:, None] * s.dv, 0.0)
+        want = _segment_sums(g.receivers, agg, n) + _segment_sums(g.receivers, ali, n)
+        assert interaction_accelerations(s).tobytes() == want.tobytes()
+
+        err = edge_errors(pos, vel, params, s)
+        for valid, d, w, got, mean in ((s.pos_valid, s.dp, s.w_pos, err.pos, err.agent_mean_pos),
+                                       (s.vel_valid, s.dv, s.w_vel, err.vel, err.agent_mean_vel)):
+            rows = np.where(valid[:, None], d - w[:, None] * d, 0.0)
+            assert got.tobytes() == rows.tobytes()
+            assert not np.signbit(got[~valid]).any() and not got[~valid].any()
+            total = _segment_sums(g.receivers[valid], rows[valid], n)
+            count = np.bincount(g.receivers[valid], minlength=n).astype(float)[:, None]
+            with np.errstate(invalid="ignore", divide="ignore"):
+                assert mean.tobytes() == np.where(count > 0, total / count, np.nan).tobytes()
+        seen_pos += int(np.count_nonzero(~s.pos_valid))
+        seen_vel += int(np.count_nonzero(~s.vel_valid))
+    assert seen_pos >= 100 and seen_vel >= 100
 
 
 def test_tie_break_overflow_kernel_matches_per_agent_law():

@@ -1,6 +1,8 @@
 """Unit tests for presets, sweeps, config serialization, and CSV export."""
 
+import csv
 import dataclasses
+import io
 import json
 import math
 from itertools import product
@@ -431,6 +433,55 @@ def test_sweep_csv_layout(tmp_path):
     lines = with_delta.read_text(encoding="utf-8").splitlines()
     assert lines[0].startswith("delta,")
     assert lines[2].split(",")[0] == "1.5"
+
+
+def test_csv_writers_equal_csv_module_form(tmp_path):
+    # The writers join fields with ","; csv.writer, written out here, is the
+    # oracle for their bytes: an adaptive run with energies, NaN metrics
+    # (one agent, so no pair has an edge) and a sweep with NaN and delta.
+    adaptive = preset("adaptive-fig9").config
+    runs = [run(dataclasses.replace(adaptive, n=6, duration=2.0, seed=2)),
+            run(SimConfig(n=2, m=3, duration=0.5, seed=1, init_pos_range=(0.0, 500.0),
+                          params=InteractionParams(radius=1.0)))]
+    for traj in runs:
+        axes = "xyz"[:traj.config.m]
+        rows = [["t", "agent", *(f"p{a}" for a in axes), *(f"v{a}" for a in axes)]
+                + (["delta", "eta"] if traj.deltas is not None else [])
+                + (["energy"] if traj.energies is not None else [])]
+        for k, t in enumerate(traj.times.tolist()):
+            for i in range(traj.config.n):
+                values = [*traj.positions[k, i], *traj.velocities[k, i]]
+                if traj.deltas is not None:
+                    values += [traj.deltas[k, i], traj.etas[k, i]]
+                if traj.energies is not None:
+                    values.append(traj.energies[k, i])
+                rows.append([repr(t), str(i), *(repr(float(v)) for v in values)])
+        metric_rows = [["t", "h", "r_agg", "d_avg", "d_min",
+                        *(f"edge_pos_err_{a}" for a in axes),
+                        *(f"edge_vel_err_{a}" for a in axes)]]
+        metric_rows += [[repr(float(v)) for v in (s.time, s.h, s.r_agg, s.d_avg, s.d_min,
+                                                  *s.mean_edge_pos_err, *s.mean_edge_vel_err)]
+                        for s in traj.metrics]
+        for writer, want in ((write_trajectory_csv, rows), (write_metrics_csv, metric_rows)):
+            expected = io.StringIO()
+            csv.writer(expected, lineterminator="\n").writerows(want)
+            writer(traj, tmp_path / "out.csv")
+            assert (tmp_path / "out.csv").read_bytes() == expected.getvalue().encode("utf-8")
+    assert np.isnan(runs[1].metrics[0].mean_edge_pos_err).all()
+    sweep_rows = [SweepRow(eta=3.0, n=5, seed=0, h_final=0.95, r_agg_final=4.2,
+                           d_min_overall=1e-7, aggregation_lost=False, delta=0.5),
+                  SweepRow(eta=13.0, n=5, seed=0, h_final=float("nan"), r_agg_final=9.0,
+                           d_min_overall=0.8, aggregation_lost=True, delta=1.5)]
+    expected = io.StringIO()
+    out = csv.writer(expected, lineterminator="\n")
+    out.writerow(["delta", "eta", "n", "seed", "h_final", "r_agg_final", "d_min_overall",
+                  "aggregation_lost"])
+    for r in sweep_rows:
+        out.writerow([str(r.delta), str(r.eta), str(r.n), str(r.seed), str(r.h_final),
+                      str(r.r_agg_final), str(r.d_min_overall), str(r.aggregation_lost).lower()])
+    got = io.StringIO()
+    write_sweep_csv(sweep_rows, got, include_delta=True)
+    assert got.getvalue() == expected.getvalue()
 
 
 def test_export_dispatch(tmp_path):
