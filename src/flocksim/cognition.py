@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AgentParams, Neighborhood, agent_params, require_finite
+from .core import AgentParams, ConfigError, Neighborhood, agent_params, check_fields
 from .graph import InteractionGraph, build_graph
 
 
@@ -34,11 +34,11 @@ class EnergyState:
     c2: float = 0.015
 
     def __post_init__(self):
-        require_finite(self)
+        check_fields(self)
         if self.c1 < 0 or self.c2 <= 0:
-            raise ValueError("require c1 >= 0 and c2 > 0")
+            raise ConfigError("require c1 >= 0 and c2 > 0")
         if self.initial <= 0:
-            raise ValueError("initial energy must be positive")
+            raise ConfigError("initial energy must be positive")
 
 
 @dataclass(frozen=True)
@@ -54,13 +54,13 @@ class AdaptationParams:
     e_th: float = 40.0
 
     def __post_init__(self):
-        require_finite(self)
+        check_fields(self)
         if not (0 <= self.delta_min <= self.delta_max):
-            raise ValueError("require 0 <= delta_min <= delta_max")
+            raise ConfigError("require 0 <= delta_min <= delta_max")
         if not (0 <= self.eta_min <= self.eta_max):
-            raise ValueError("require 0 <= eta_min <= eta_max")
+            raise ConfigError("require 0 <= eta_min <= eta_max")
         if self.k_delta <= 0 or self.k_eta <= 0:
-            raise ValueError("adaptation gains must be positive")
+            raise ConfigError("adaptation gains must be positive")
 
 
 def _sigmoid(x: float) -> float:

@@ -13,6 +13,7 @@ Distances are in meters, velocities in m/s, accelerations in m/s^2.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import namedtuple
 from dataclasses import astuple, dataclass, fields
 
@@ -26,17 +27,41 @@ EPS_POS = 1e-9  # m
 EPS_VEL = 1e-9  # m/s
 
 
-def require_finite(spec) -> None:
-    """Raise ValueError unless every field of the dataclass ``spec`` is a
-    finite number (or a tuple of finite numbers)."""
-    for name in spec.__dataclass_fields__:
-        value = getattr(spec, name)
-        try:
-            ok = all(map(math.isfinite, value if isinstance(value, tuple) else (value,)))
-        except TypeError:
-            ok = False
-        if not ok:
-            raise ValueError(f"{name} must be a finite number, got {value!r}")
+class ConfigError(ValueError):
+    """Invalid simulation configuration."""
+
+
+def as_number(value, name: str, integral: bool = False):
+    """A finite float, or an int if ``integral``; bools, non-numbers, NaN,
+    infinities and (if integral) fractions are refused, not coerced."""
+    # float and int first: they skip the slower numbers.Real check.
+    if (isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real))
+            or not math.isfinite(value) or integral and not float(value).is_integer()):
+        kind = "an integer" if integral else "a finite number"
+        raise ConfigError(f"{name} must be {kind}, got {value!r}")
+    return int(value) if integral else float(value)
+
+
+def check_fields(spec) -> None:
+    """Check the fields of the frozen dataclass ``spec`` by their annotation
+    and store them as Python numbers.  An ``int`` or ``float`` field goes
+    through as_number; a ``bool`` field must hold a bool; a
+    ``tuple[float, ...]`` or ``tuple[int, ...]`` field takes a list, tuple
+    or 1-D array, checked element by element.  Any other field is left to
+    the block.  Annotations are read as written, which needs the block's
+    module to use ``from __future__ import annotations``."""
+    for f in fields(spec):
+        value, kind = getattr(spec, f.name), f.type
+        if kind == "bool" and not isinstance(value, bool):
+            raise ConfigError(f"{f.name} must be true or false, got {value!r}")
+        if kind in ("int", "float"):
+            object.__setattr__(spec, f.name, as_number(value, f.name, kind == "int"))
+        elif kind in ("tuple[int, ...]", "tuple[float, ...]"):
+            if not (isinstance(value, (list, tuple))
+                    or isinstance(value, np.ndarray) and value.ndim == 1):
+                raise ConfigError(f"{f.name} must be a list of numbers, got {value!r}")
+            object.__setattr__(spec, f.name, tuple(
+                as_number(x, f.name, kind == "tuple[int, ...]") for x in value))
 
 
 class DegeneratePairError(ValueError):
@@ -105,15 +130,15 @@ class InteractionParams:
     t_vmax: float = 1.0
 
     def __post_init__(self):
-        require_finite(self)
+        check_fields(self)
         if self.delta < 0 or self.eta < 0:
-            raise ValueError("delta and eta must be non-negative")
+            raise ConfigError("delta and eta must be non-negative")
         if self.alpha <= 0 or self.beta <= 0:
-            raise ValueError("alpha and beta must be positive")
+            raise ConfigError("alpha and beta must be positive")
         if self.radius <= 0:
-            raise ValueError("radius must be positive")
+            raise ConfigError("radius must be positive")
         if self.v_max <= 0 or self.t_vmax <= 0:
-            raise ValueError("v_max and t_vmax must be positive")
+            raise ConfigError("v_max and t_vmax must be positive")
 
     @property
     def s(self) -> float:
@@ -160,11 +185,11 @@ class CuckerSmaleParams:
     gamma: float = 0.5
 
     def __post_init__(self):
-        require_finite(self)
+        check_fields(self)
         if self.k_gain <= 0 or self.sigma_cs <= 0:
-            raise ValueError("k_gain and sigma_cs must be positive")
+            raise ConfigError("k_gain and sigma_cs must be positive")
         if self.gamma < 0:
-            raise ValueError("gamma must be non-negative")
+            raise ConfigError("gamma must be non-negative")
 
 
 def neighborhood(i: int, positions: np.ndarray, radius: float) -> Neighborhood:

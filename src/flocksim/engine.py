@@ -24,7 +24,6 @@ existing config files load, but it selects nothing.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,20 +33,19 @@ from .cognition import AdaptationParams, EnergyState, apply_adaptation
 from .core import (
     AgentParams,
     AgentState,
+    ConfigError,
     CuckerSmaleParams,
     InteractionParams,
     PairNumericsError,
     _row_norms,
     agent_params,
+    as_number,
+    check_fields,
     cucker_smale_acceleration,
     saturate_velocity,
 )
 from .environment import ObstacleSpec, TargetSpec, add_environment_terms
 from .graph import Snapshot, interaction_accelerations, snapshot_of
-
-
-class ConfigError(ValueError):
-    """Invalid simulation configuration."""
 
 
 class SimulationNumericsError(RuntimeError):
@@ -58,16 +56,6 @@ class SimulationNumericsError(RuntimeError):
         self.step_index = step_index
         self.agent, self.agents = agents[0], agents
         super().__init__(f"non-finite state at step {step_index} for agent {self.agent}")
-
-
-def as_number(value, name: str, integral: bool = False):
-    """A finite float, or an int if ``integral``; bools, non-numbers, NaN,
-    infinities and (if integral) fractions are refused, not coerced."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not math.isfinite(value) or integral and not float(value).is_integer()):
-        kind = "an integer" if integral else "a finite number"
-        raise ConfigError(f"{name} must be {kind}, got {value!r}")
-    return int(value) if integral else float(value)
 
 
 def _normalize_ranges(value, m: int, name: str) -> tuple[tuple[float, float], ...]:
@@ -110,12 +98,7 @@ class SimConfig:
     workers: int = 1
 
     def __post_init__(self):
-        for name in ("n", "m", "seed", "workers", "duration", "dt"):
-            integral = name not in ("duration", "dt")
-            object.__setattr__(self, name, as_number(getattr(self, name), name, integral))
-        for name in ("cluttered", "adaptive"):
-            if not isinstance(getattr(self, name), bool):
-                raise ConfigError(f"{name} must be true or false, got {getattr(self, name)!r}")
+        check_fields(self)
         if self.n < 2:
             raise ConfigError("need at least two agents")
         if self.m not in (2, 3):
@@ -134,7 +117,7 @@ class SimConfig:
             if not isinstance(self.params, InteractionParams):
                 object.__setattr__(self, "params", tuple(self.params))
             agent_params(self.params, self.n)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, MemoryError) as exc:
             raise ConfigError(f"params: {exc}") from exc
         for name, cls in (("target", TargetSpec), ("energy", EnergyState),
                           ("adaptation", AdaptationParams), ("cucker_smale", CuckerSmaleParams)):

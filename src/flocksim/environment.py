@@ -16,11 +16,12 @@ import numpy as np
 
 from .core import (
     EPS_POS,
+    ConfigError,
     InteractionParams,
     Neighborhood,
     _row_norms,
+    check_fields,
     interaction_acceleration,
-    require_finite,
 )
 
 
@@ -32,14 +33,11 @@ class TargetSpec:
     kappa: float = 0.5
 
     def __post_init__(self):
-        pos = tuple(float(x) for x in np.asarray(self.position, dtype=float))
-        if len(pos) not in (2, 3):
-            raise ValueError("target position must have dimension 2 or 3")
+        check_fields(self)
+        if len(self.position) not in (2, 3):
+            raise ConfigError("target position must have dimension 2 or 3")
         if self.kappa < 0:
-            raise ValueError("kappa must be non-negative")
-        object.__setattr__(self, "position", pos)
-        object.__setattr__(self, "kappa", float(self.kappa))
-        require_finite(self)
+            raise ConfigError("kappa must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -57,15 +55,13 @@ class ObstacleSpec:
     sigma_o: float = 3.0
 
     def __post_init__(self):
-        center = tuple(float(x) for x in np.asarray(self.center, dtype=float))
-        if len(center) not in (2, 3):
-            raise ValueError("obstacle center must have dimension 2 or 3")
+        check_fields(self)
+        if len(self.center) not in (2, 3):
+            raise ConfigError("obstacle center must have dimension 2 or 3")
         if self.radius <= 0 or self.detection <= 0:
-            raise ValueError("radius and detection must be positive")
+            raise ConfigError("radius and detection must be positive")
         if self.sigma_o <= 0:
-            raise ValueError("sigma_o must be positive")
-        object.__setattr__(self, "center", center)
-        require_finite(self)
+            raise ConfigError("sigma_o must be positive")
 
 
 def rho_weight(distance: float, detection: float, sigma_o: float) -> float:

@@ -18,9 +18,9 @@ from itertools import product
 import numpy as np
 
 from .cognition import AdaptationParams, EnergyState
-from .core import AgentParams, CuckerSmaleParams, InteractionParams
+from .core import AgentParams, CuckerSmaleParams, InteractionParams, check_fields
 from .engine import (ConfigError, SimConfig, SimulationNumericsError, Trajectory, World,
-                     as_number, initialize, step)
+                     initialize, step)
 from .environment import ObstacleSpec, TargetSpec
 from .graph import snapshot_of
 from .metrics import aggregation_radius, alignment_score
@@ -52,11 +52,7 @@ class SweepSpec:
     breakdown_radius: float = 100.0
 
     def __post_init__(self):
-        for name in ("etas", "ns", "deltas"):
-            values = tuple(as_number(x, name, name == "ns") for x in getattr(self, name))
-            object.__setattr__(self, name, values)
-        for name in ("seeds", "duration", "dt", "breakdown_radius"):
-            object.__setattr__(self, name, as_number(getattr(self, name), name, name == "seeds"))
+        check_fields(self)
         if (not (self.etas and self.ns and self.deltas)
                 or min(self.etas + self.deltas) < 0 or min(self.ns) < 2):
             raise ConfigError("sweep axes must be nonempty, with eta, delta >= 0 and n >= 2")
@@ -64,6 +60,8 @@ class SweepSpec:
             raise ConfigError("seeds must be >= 1")
         if self.dt <= 0 or self.duration < self.dt:
             raise ConfigError("invalid sweep duration/dt")
+        if self.breakdown_radius <= 0:
+            raise ConfigError("breakdown_radius must be positive")
 
     @property
     def has_delta_axis(self) -> bool:
@@ -378,27 +376,19 @@ def _check_keys(d: dict, allowed: set, where: str):
 
 
 def _read_block(cls, doc, where: str, **copies):
-    """``cls`` built from the JSON mapping ``doc``, one key per dataclass field.
-
-    Every value must be a finite number (a list of them for tuple fields),
-    checked by ``as_number``, never coerced; fields with defaults may be
-    left out.  ``copies`` maps a field the document does not carry to the
-    key whose value it takes (energy's current value is its initial one).
+    """``cls`` built from the JSON mapping ``doc``, one key per dataclass field;
+    fields with defaults may be left out, and the block checks the values.
+    ``copies`` maps a field the document does not carry to the key whose
+    value it takes (energy's current value is its initial one).
     """
     fields = [f for f in dataclasses.fields(cls) if f.name not in copies]
     _check_keys(doc, {f.name for f in fields}, where)
     kwargs = {}
     for f in fields:
-        name = f"{where}.{f.name}"
-        if f.name not in doc:
-            if f.default is dataclasses.MISSING:
-                raise ConfigError(f"{where}: missing key {f.name!r}")
-        elif str(f.type).startswith("tuple"):
-            if not isinstance(doc[f.name], (list, tuple)):
-                raise ConfigError(f"{name} must be a list of numbers, got {doc[f.name]!r}")
-            kwargs[f.name] = tuple(as_number(x, name) for x in doc[f.name])
-        else:
-            kwargs[f.name] = as_number(doc[f.name], name)
+        if f.name in doc:
+            kwargs[f.name] = doc[f.name]
+        elif f.default is dataclasses.MISSING:
+            raise ConfigError(f"{where}: missing key {f.name!r}")
     kwargs.update({field: kwargs[key] for field, key in copies.items()})
     try:
         return cls(**kwargs)
@@ -504,11 +494,6 @@ def _csv_stream(target):
         yield target
 
 
-def _fmt(x) -> str:
-    # str() of a Python float is the shortest round-tripping decimal form.
-    return str(float(x))
-
-
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """One row per (snapshot, agent): time, id, state, adapted offsets, energy."""
     m = traj.config.m
@@ -528,8 +513,8 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
                 cols += [traj.deltas[k, :, None], traj.etas[k, :, None]]
             if traj.energies is not None:
                 cols.append(traj.energies[k, :, None])
-            # tolist() gives Python floats, whose repr is _fmt's form; a
-            # list's repr joins its items' reprs with ", ".
+            # tolist() gives Python floats, whose repr is the shortest
+            # round-tripping form; a list's repr joins its items' reprs with ", ".
             fh.write("".join(repr(t) + f",{i}," + repr(row)[1:-1].replace(", ", ",") + "\n"
                              for i, row in enumerate(np.hstack(cols).tolist())))
 
@@ -561,11 +546,12 @@ def write_sweep_csv(rows: list[SweepRow], path, include_delta: bool = False) -> 
     with _csv_stream(path) as fh:
         fh.write(",".join(header) + "\n")
         for r in rows:
-            row = [_fmt(r.eta), str(r.n), str(r.seed), _fmt(r.h_final),
-                   _fmt(r.r_agg_final), _fmt(r.d_min_overall),
+            # float() first: a row built by hand may hold NumPy floats.
+            row = [repr(float(r.eta)), str(r.n), str(r.seed), repr(float(r.h_final)),
+                   repr(float(r.r_agg_final)), repr(float(r.d_min_overall)),
                    "true" if r.aggregation_lost else "false"]
             if include_delta:
-                row = [_fmt(r.delta)] + row
+                row = [repr(float(r.delta))] + row
             fh.write(",".join(row) + "\n")
 
 

@@ -159,8 +159,13 @@ def test_sweep_bad_spec_exits_1(tmp_path, capsys):
     assert main(["sweep", str(spec), "--out-dir", str(tmp_path)]) == EXIT_CONFIG
 
 
-@pytest.mark.parametrize("axis", [{"deltas": [-1.0]}, {"etas": [-0.5]}, {"ns": [1]}],
-                         ids=["delta-negative", "eta-negative", "n-below-2"])
+@pytest.mark.parametrize("axis", [{"deltas": [-1.0]}, {"etas": [-0.5]}, {"ns": [1]},
+                                  {"breakdown_radius": -5.0},
+                                  # A cell whose (7, n) params table (5 TiB) cannot
+                                  # be allocated; the request fails at once.
+                                  {"ns": [100000000000]}],
+                         ids=["delta-negative", "eta-negative", "n-below-2",
+                              "breakdown-radius-negative", "n-unallocatable"])
 def test_sweep_bad_axis_exits_1(tmp_path, capsys, axis):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"etas": [3.0], "ns": [2], "duration": 1.0, **axis}),
@@ -194,6 +199,8 @@ _BAD_VALUES = {
     "energy-string": '{"n": 4, "duration": 1.0, "energy": {"initial": "80"}}',
     "e-th-bool": '{"n": 4, "duration": 1.0, "adaptive": true, "energy": {"initial": 80.0}, '
                  '"adaptation": {"e_th": true}}',
+    # The (7, n) params table (5 TiB) cannot be allocated; the request fails at once.
+    "n-unallocatable": '{"n": 100000000000, "duration": 1}',
 }
 
 

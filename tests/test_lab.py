@@ -150,7 +150,8 @@ def test_sweep_spec_validation():
         SweepSpec(etas=(3.0,), ns=(5,), duration=0.05, dt=0.1)
     for bad in (dict(etas=(math.nan,)), dict(ns=(5.7,)), dict(seeds=1.5),
                 dict(duration=math.inf), dict(deltas=(1.0, -1.0)), dict(etas=(3.0, -0.1)),
-                dict(ns=(1, 5)), dict(ns=(0,))):
+                dict(ns=(1, 5)), dict(ns=(0,)), dict(breakdown_radius=-5.0),
+                dict(breakdown_radius=0.0)):
         with pytest.raises(ConfigError):
             SweepSpec(**{"etas": (3.0,), "ns": (5,), **bad})
     assert not SweepSpec(etas=(3.0,), ns=(5,)).has_delta_axis
@@ -312,6 +313,15 @@ def test_config_file_round_trip(tmp_path):
     assert load_config(path) == cfg
 
 
+def test_numpy_scalar_params_export_and_round_trip(tmp_path):
+    # The block stores NumPy scalars as Python floats, so the exported
+    # config.json is what load_config reads back.
+    cfg = SimConfig(n=3, duration=0.3, params=InteractionParams(
+        delta=np.float32(0.5), eta=np.float64(3.0), radius=np.int64(10)))
+    paths = export_all(run(cfg), tmp_path)
+    assert load_config(paths["config"]) == cfg
+
+
 def test_config_unknown_keys_rejected():
     doc = config_to_dict(preset("flocking-fig2a").config)
     doc["bogus"] = 1
@@ -433,6 +443,13 @@ def test_sweep_csv_layout(tmp_path):
     lines = with_delta.read_text(encoding="utf-8").splitlines()
     assert lines[0].startswith("delta,")
     assert lines[2].split(",")[0] == "1.5"
+
+    # A row built by hand from NumPy floats writes the same fields.
+    numpy_row = dataclasses.replace(rows[1], eta=np.float64(13.0), h_final=np.float64("nan"),
+                                    r_agg_final=np.float32(9.0), delta=np.float64(1.5))
+    write_sweep_csv([rows[1], numpy_row], with_delta, include_delta=True)
+    lines = with_delta.read_text(encoding="utf-8").splitlines()
+    assert lines[1] == lines[2]
 
 
 def test_csv_writers_equal_csv_module_form(tmp_path):
