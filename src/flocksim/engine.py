@@ -12,8 +12,8 @@ consensus law over the distance matrix), then integrate(): acceleration
 rate clamp, semi-implicit Euler and velocity saturation; and energy
 integration when an energy block is configured.  Coincident-pair events
 come from the snapshot's edge flags, so lab.sweep's stacked cells, one
-World over per-cell distance blocks, take the same step().  Each stage
-reproduces the per-agent functions bit for bit.
+World whose snapshot covers only pairs within a cell, take the same
+step().  Each stage reproduces the per-agent functions bit for bit.
 
 Determinism holds for a fixed (config, seed): initialization uses
 per-agent spawned RNG streams, and each agent's force sums its in-edges
@@ -59,16 +59,16 @@ class SimulationNumericsError(RuntimeError):
 
 
 def _normalize_ranges(value, m: int, name: str) -> tuple[tuple[float, float], ...]:
-    """Accept (lo, hi) or one (lo, hi) pair per axis; validate ordering."""
+    """Accept (lo, hi) or one (lo, hi) pair per axis of as_number bounds; validate ordering."""
     try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
+        arr = np.asarray(value, dtype=object)
+    except ValueError as exc:  # nesting NumPy cannot hold
         raise ConfigError(f"{name}: not numeric: {value!r}") from exc
     if arr.shape == (2,):
         arr = np.tile(arr, (m, 1))
     if arr.shape != (m, 2):
         raise ConfigError(f"{name}: expected (lo, hi) or {m} per-axis pairs")
-    ranges = tuple((float(lo), float(hi)) for lo, hi in arr)
+    ranges = tuple((as_number(lo, name), as_number(hi, name)) for lo, hi in arr)
     if not all(math.isfinite(hi - lo) for lo, hi in ranges):  # NaN/inf bound or width
         raise ConfigError(f"{name}: bounds and their width hi - lo must be finite")
     if any(lo > hi for lo, hi in ranges):
@@ -255,7 +255,7 @@ def step(world: World, snapshot: Snapshot | None = None) -> World:
 
     ``snapshot`` is neighbors(world) if the caller has it (run shares it
     with the snapshot's metrics; lab.sweep passes one over its cells'
-    distance blocks).  A non-finite force raises SimulationNumericsError
+    candidate pairs).  A non-finite force raises SimulationNumericsError
     before integration, naming its lowest agent; a non-finite state raises
     it after the step, naming every such agent.
     """

@@ -12,13 +12,14 @@ a node's out-edges would couple back into its own dynamics, which the
 per-agent law does not contain; the in-edge restriction makes the global
 product reproduce the per-agent sums exactly (see global_rhs).
 
-A Snapshot (snapshot_of) is one state's record: pairwise distances, the
-neighbor graph (a receiver-sorted edge list), a params table and the edge
-terms for it.  The force kernel interaction_accelerations, edge_errors,
-global_rhs and lyapunov_monitor read it; Snapshot.reweighted recomputes
-only the offset weights for a new table.  Products and quadratic forms are
-evaluated edge-wise at every n; only stability_matrices forms dense
-(Kronecker) matrices, kept as the reference for tests.  The kernel
+A Snapshot (snapshot_of) is one state's record: pairwise distances (the
+cdist matrix, or one per candidate pair when the state stacks independent
+cells), the neighbor graph (a receiver-sorted edge list), a params table
+and the edge terms for it.  The force kernel interaction_accelerations,
+edge_errors, global_rhs and lyapunov_monitor read it; Snapshot.reweighted
+recomputes only the offset weights for a new table.  Products and quadratic
+forms are evaluated edge-wise at every n; only stability_matrices forms
+dense (Kronecker) matrices, kept as the reference for tests.  The kernel
 reproduces the per-agent core.interaction_acceleration bit for bit.
 """
 
@@ -132,11 +133,12 @@ class EdgeErrors:
 
 
 class Snapshot(NamedTuple):
-    """Distances (cdist, build_graph's list of cell blocks, or None), graph,
-    params table and per edge dp = p_j - p_i, dv, their norms, guard flags
-    (valid at and above EPS_POS, EPS_VEL) and offset weights (0 off-guard)."""
+    """Distances (cdist, one per candidate pair of build_graph's ``pairs``,
+    or None), graph, params table and per edge dp = p_j - p_i, dv, their
+    norms, guard flags (valid at and above EPS_POS, EPS_VEL) and offset
+    weights (0 off-guard)."""
 
-    distances: np.ndarray | list | None
+    distances: np.ndarray | None
     graph: InteractionGraph
     params: AgentParams | None
     dp: np.ndarray
@@ -159,37 +161,47 @@ class Snapshot(NamedTuple):
         return self._replace(params=p, w_pos=w_pos, w_vel=w_vel)
 
 
-def build_graph(positions: np.ndarray, params, distances=None) -> InteractionGraph:
+def build_graph(positions: np.ndarray, params, distances=None, pairs=None) -> InteractionGraph:
     """Directed edge (j, i) for every j in agent i's neighborhood.
 
-    ``distances`` may carry cdist(positions, positions), or, when the rows
-    of ``positions`` stack independent cells, a list of one (C, n, n) block
-    per run of C consecutive cells of n agents: agents of different cells
-    are never neighbors, and no distance between them is needed.
+    ``pairs`` = (sources, receivers), sorted by (receiver, source), may list
+    the only candidate edges, e.g. the pairs within each of several stacked
+    cells; ``distances`` may carry _distances(positions, pairs).
     """
     positions = np.asarray(positions, dtype=float)
-    radius = agent_params(params, positions.shape[0]).radius
-    sources, receivers, lo = [], [], 0
-    for dist in distances if isinstance(distances, list) else [
-            cdist(positions, positions) if distances is None else distances]:
-        n = dist.shape[-1]
-        mask = dist.reshape(-1, n) <= radius[lo:lo + dist.size // n, None]
-        mask.reshape(-1, n * n)[:, ::n + 1] = False  # no self edges
-        rcv, src = np.divmod(np.flatnonzero(mask), n)  # row-major == sorted by (i, j)
-        sources.append(src + rcv - rcv % n + lo)  # column in the cell -> node
-        receivers.append(rcv + lo)
-        lo += mask.shape[0]
-    return InteractionGraph(n_nodes=positions.shape[0], sources=np.concatenate(sources),
-                            receivers=np.concatenate(receivers))
+    n = positions.shape[0]
+    radius = agent_params(params, n).radius
+    dist = _distances(positions, pairs) if distances is None else distances
+    if pairs is not None:
+        edges = np.flatnonzero(dist <= radius.take(pairs[1]))  # sorted, as the candidates
+        return InteractionGraph(n, *(x.take(edges) for x in pairs))
+    mask = dist <= radius[:, None]
+    mask.reshape(-1)[::n + 1] = False  # no self edges
+    receivers, sources = np.divmod(np.flatnonzero(mask), n)  # row-major == sorted by (i, j)
+    return InteractionGraph(n_nodes=n, sources=sources, receivers=receivers)
 
 
-def snapshot_of(positions: np.ndarray, velocities: np.ndarray, params, distances=None) -> Snapshot:
-    """The Snapshot of a state; ``distances`` as in build_graph."""
+def _distances(positions: np.ndarray, pairs=None) -> np.ndarray:
+    """cdist(positions, positions), or the distance of each pair in ``pairs``
+    in cdist's arithmetic, bit for bit: squares summed axis by axis, then sqrt."""
+    if pairs is None:
+        return cdist(positions, positions)
+    out = np.empty(pairs[0].shape[0])
+    # Chunks of 2**15 pairs: small temporaries reuse freed heap memory, where whole-list ones
+    # faulted in fresh pages on every call (~1.5x the page faults at phase-fig5's 424k pairs).
+    for lo in range(0, out.shape[0], 1 << 15):
+        part, sq = slice(lo, lo + (1 << 15)), 0.0
+        for x in positions.T:
+            sq = sq + (x.take(pairs[0][part]) - x.take(pairs[1][part])) ** 2
+        np.sqrt(sq, out=out[part])
+    return out
+
+
+def snapshot_of(positions: np.ndarray, velocities: np.ndarray, params, pairs=None) -> Snapshot:
+    """The Snapshot of a state; ``pairs`` as in build_graph."""
     p = agent_params(params, len(positions))
-    # cdist is bit for bit the np.linalg.norm of the pairwise differences,
-    # without allocating the (n, n, m) difference array.
-    dist = cdist(positions, positions) if distances is None else distances
-    return _edge_terms(build_graph(positions, p, distances=dist), positions, velocities, p, dist)
+    dist = _distances(np.asarray(positions, dtype=float), pairs)
+    return _edge_terms(build_graph(positions, p, dist, pairs), positions, velocities, p, dist)
 
 
 def laplacian(g: InteractionGraph) -> np.ndarray:
@@ -386,9 +398,9 @@ def lyapunov_monitor(positions: np.ndarray, velocities: np.ndarray, params) -> d
 
     Also reports whether the symmetric parts of A and B are numerically
     PSD (smallest eigenvalue >= -1e-10, see _min_sym_eigenvalue), or None
-    for a graph without edges.  PSD failures are logged, not raised — the
-    dissipation argument needs assumptions that running scenarios may
-    violate.
+    for a graph without edges.  A non-PSD A is only reported (and logged at
+    DEBUG): the dissipation argument needs assumptions that running
+    scenarios may violate.  A positive V_dot despite a PSD A is a warning.
     """
     snap = snapshot_of(positions, velocities, params)
     g, (w, es) = snap.graph, _frozen(snap)
@@ -398,7 +410,7 @@ def lyapunov_monitor(positions: np.ndarray, velocities: np.ndarray, params) -> d
         a_psd = _min_sym_eigenvalue(g, 1.0 - w.w_vel) >= -1e-10
         b_psd = _min_sym_eigenvalue(g, 1.0 - w.w_pos) >= -1e-10
         if not a_psd:
-            log.warning("symmetric part of A not PSD; dissipation bound not certified")
+            log.debug("symmetric part of A not PSD; dissipation bound not certified")
         if a_psd and v_dot > 1e-12:
             log.warning("V_dot = %.3e exceeds tolerance despite PSD A", v_dot)
     return {

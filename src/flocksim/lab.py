@@ -18,7 +18,7 @@ from itertools import product
 import numpy as np
 
 from .cognition import AdaptationParams, EnergyState
-from .core import AgentParams, CuckerSmaleParams, InteractionParams, check_fields
+from .core import AgentParams, CuckerSmaleParams, InteractionParams, agent_params, check_fields
 from .engine import (ConfigError, SimConfig, SimulationNumericsError, Trajectory, World,
                      initialize, step)
 from .environment import ObstacleSpec, TargetSpec
@@ -243,41 +243,38 @@ def preset(name: str) -> ScenarioPreset:
 class _CellStack:
     """Sweep cells stacked row-wise in runs of equal n, as one World whose
     config has the spec's dt and duration and n equal to its live row
-    count: stacked cell k is grid cell ids[k] (its index in ``worlds``) and
+    count: stacked cell k is grid cell ids[k] (its index in ``cells``) and
     owns rows starts[k]:starts[k] + sizes[k] of the world's positions,
-    velocities and every params column."""
+    velocities and every params column.  ``pairs`` = (sources, receivers)
+    lists every ordered pair of distinct rows within a cell, sorted by
+    (receiver, source); cell k's pairs start at segments[k].  Each (n, seed)
+    start is initialized once: delta and eta only fill a cell's params."""
 
-    def __init__(self, worlds: list[World], spec: SweepSpec):
-        ids = sorted(range(len(worlds)), key=lambda c: worlds[c].config.n)
+    def __init__(self, cells: list[tuple], spec: SweepSpec):
+        firsts = {(n, seed): initialize(SimConfig(n, spec.duration, dt=spec.dt, seed=seed,
+                                                  init_pos_range=(0.0, init_upper_for(n))))
+                  for n, seed in product(set(spec.ns), range(spec.seeds))}
+        ids = sorted(range(len(cells)), key=lambda c: cells[c][1])
+        stacked = [cells[c] for c in ids]  # (eta, n, delta, seed)
         self.ids = np.array(ids, dtype=int)
-        self.sizes = np.array([worlds[c].config.n for c in ids], dtype=int)
+        self.sizes = np.array([n for _, n, _, _ in stacked], dtype=int)
         self.world = World(
             SimConfig(n=int(self.sizes.sum()), duration=spec.duration, dt=spec.dt),
-            np.concatenate([worlds[c].positions for c in ids]),
-            np.concatenate([worlds[c].velocities for c in ids]),
-            AgentParams(*map(np.concatenate, zip(*(worlds[c].params for c in ids)))), None)
+            np.concatenate([firsts[n, seed].positions for _, n, _, seed in stacked]),
+            np.concatenate([firsts[n, seed].velocities for _, n, _, seed in stacked]),
+            AgentParams(*map(np.concatenate, zip(*(
+                agent_params(InteractionParams(delta=delta, eta=eta), n)
+                for eta, n, delta, _ in stacked)))), None)
         self._index()
 
     def _index(self):
         self.starts = np.cumsum(self.sizes) - self.sizes
-        n, first, cells = np.unique(self.sizes, return_index=True, return_counts=True)
-        lo = self.starts[first]  # first row of each run of equal n
-        self.runs = list(zip(lo.tolist(), (lo + n * cells).tolist(), n.tolist()))  # (lo, hi, n)
-
-    def distance_blocks(self) -> list[np.ndarray]:
-        """Per run of C cells of n agents, their (C, n, n) distances, inf on diagonals."""
-        blocks = []
-        for lo, hi, n in self.runs:
-            p = self.world.positions[lo:hi].reshape(-1, n, self.world.positions.shape[1])
-            # Each cell's cdist bit for bit (squares summed axis by axis in
-            # order), and no distance across cells.
-            sq = 0.0
-            for x in np.moveaxis(p, 2, 0):
-                sq = sq + (x[:, :, None] - x[:, None, :]) ** 2
-            dist = np.sqrt(sq)
-            dist[:, range(n), range(n)] = np.inf  # distinct pairs only
-            blocks.append(dist)
-        return blocks
+        counts = self.sizes * (self.sizes - 1)
+        self.segments = np.cumsum(counts) - counts
+        receivers, sources = np.concatenate(
+            [np.empty((2, 0), dtype=np.intp)] + [np.array(np.nonzero(~np.eye(n, dtype=bool))) + lo
+                                                 for lo, n in zip(self.starts, self.sizes)], axis=1)
+        self.pairs = (sources, receivers)
 
     def drop(self, exc: SimulationNumericsError, failures: dict) -> None:
         """Fail each cell owning one of the stacked rows ``exc.agents`` at its
@@ -303,41 +300,32 @@ class _CellStack:
 def sweep(spec: SweepSpec) -> tuple[list[SweepRow], list[str]]:
     """Run the full grid; failed cells are recorded and skipped.
 
-    Every cell starts from engine.initialize of its own config and seed;
-    then all cells, which share dt and duration, advance in lockstep as
-    one World stacked by n.  A snapshot computes only each cell's own
-    distance block and minimum pair distance; engine.step advances the
-    stack on the graph.Snapshot over those blocks, as it steps a single
-    run.  Rows and failure messages are byte-identical to one engine.run
-    per cell.  A cell whose forces or state turn non-finite fails at that
-    step, naming its own agent index, and leaves the stack; the others go
-    on (after a force failure, the same step again without that cell).
+    Every cell starts from engine.initialize of its n and seed, with its
+    own delta and eta; then all cells, which share dt and duration, advance
+    in lockstep as one World stacked by n.  Each snapshot is the
+    graph.Snapshot over the stack's candidate pairs (the distinct pairs
+    within each cell; a cell's minimum pair distance reduces its segment),
+    and engine.step advances the stack on it as on a single run.  Rows and
+    failure messages are byte-identical to one engine.run per cell.  A cell
+    whose forces or state turn non-finite fails at that step, naming its own
+    agent index, and leaves the stack; the others go on (after a force
+    failure, the same step again without that cell).
 
     Cell order (and therefore row and failure order) is eta-major, then
     n, then delta, then seed.
     """
     cells = list(product(spec.etas, spec.ns, spec.deltas, range(spec.seeds)))
-    worlds = [initialize(SimConfig(
-        n=n,
-        duration=spec.duration,
-        dt=spec.dt,
-        seed=seed,
-        init_pos_range=(0.0, init_upper_for(n)),
-        init_vel_range=(-1.0, 1.0),
-        params=InteractionParams(delta=delta, eta=eta),
-    )) for eta, n, delta, seed in cells]
-    stack = _CellStack(worlds, spec)
+    stack = _CellStack(cells, spec)
     world = stack.world
     d_min = np.full(len(cells), np.inf)
     failed: dict[int, SimulationNumericsError] = {}
     while stack.ids.size:
-        blocks = stack.distance_blocks()
-        d = np.concatenate([block.min(axis=(1, 2)) for block in blocks])
-        d_min[stack.ids] = np.minimum(d_min[stack.ids], d)
+        snap = snapshot_of(world.positions, world.velocities, world.params, pairs=stack.pairs)
+        np.minimum.at(d_min, stack.ids, np.minimum.reduceat(snap.distances, stack.segments))
         if world.step_index == world.config.n_steps:
             break
         try:
-            step(world, snapshot_of(world.positions, world.velocities, world.params, blocks))
+            step(world, snap)
         except SimulationNumericsError as exc:
             stack.drop(exc, failed)
 

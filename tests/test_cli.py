@@ -180,6 +180,9 @@ _BAD_VALUES = {
     "duration-nan": '{"n": 4, "duration": NaN}',
     "n-fractional": '{"n": 5.7, "duration": 1.0}',
     "init-range-nan": '{"n": 4, "duration": 1.0, "init_pos_range": [NaN, 1.0]}',
+    "init-range-strings": '{"n": 2, "duration": 1, "init_pos_range": ["0", "5"]}',
+    "init-range-bool": '{"n": 2, "duration": 1, "init_vel_range": [true, 2]}',
+    "init-range-axis-string": '{"n": 4, "duration": 1.0, "init_pos_range": [[0, 1], [0, "5"]]}',
     # Finite bounds whose width hi - lo overflows: seeding would give inf/NaN.
     "init-width-overflow": '{"n": 4, "duration": 1.0, "init_pos_range": [-1e308, 1e308]}',
     "vel-width-overflow": '{"n": 4, "duration": 1.0, "init_vel_range": [[0, 1], [-1e308, 1e308]]}',

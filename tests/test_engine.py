@@ -119,6 +119,14 @@ def test_config_range_validation():
         SimConfig(n=5, duration=1.0, init_pos_range=((0.0, 1.0),))  # m=2 axes
     cfg = SimConfig(n=5, duration=1.0, init_pos_range=((0.0, 1.0), (5.0, 6.0)))
     assert cfg.init_pos_range == ((0.0, 1.0), (5.0, 6.0))
+    # Bounds follow the one number rule: strings and bools are refused, not
+    # coerced; NumPy numbers and ints are stored as Python floats.
+    for bad in (("0", "5"), (True, 2.0), ((0.0, 1.0), (0.0, "5")), ((0.0, 1.0), (0.0,))):
+        with pytest.raises(ConfigError, match="init_pos_range"):
+            SimConfig(n=5, duration=1.0, init_pos_range=bad)
+    cfg = SimConfig(n=5, duration=1.0, init_pos_range=(np.float32(0.5), 2))
+    assert cfg.init_pos_range == ((0.5, 2.0), (0.5, 2.0))
+    assert {type(x) for pair in cfg.init_pos_range for x in pair} == {float}
 
 
 def test_config_per_agent_params_length():

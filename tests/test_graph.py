@@ -7,8 +7,11 @@ right-hand side is cross-checked against the per-agent law on seeded
 random states.
 """
 
+import logging
+
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from flocksim import (
     EPS_POS,
@@ -95,28 +98,37 @@ def test_asymmetric_radii_graph():
     np.testing.assert_array_equal(g.in_degrees(), [1, 0, 1])
 
 
+def _cell_pairs(sizes):
+    """Every ordered pair (source j, receiver i != j) within each cell of
+    rows stacked in cells of ``sizes``, sorted by (i, j), written as loops."""
+    pairs, lo = [], 0
+    for n in sizes:
+        pairs += [(j, i) for i in range(lo, lo + n) for j in range(lo, lo + n) if j != i]
+        lo += n
+    return tuple(np.array(pairs, dtype=np.intp).reshape(-1, 2).T.copy())
+
+
 def test_cell_blocks_graph_is_per_cell_graphs():
     # Overlapping cells with per-agent radii, three of 7 agents then two of
-    # 4: the block graph is each cell's own graph shifted to its rows, in
-    # the same order, from one (C, n, n) block or a list of one per run.
+    # 4: the graph over each cell's candidate pairs is each cell's own graph
+    # shifted to its rows, in the same order, for the whole stack or a prefix.
     rng = np.random.default_rng(32)
     cells = [(rng.uniform(0.0, 10.0, (n, 2)), _random_params(rng, n)) for n in (7, 7, 7, 4, 4)]
     pos = np.concatenate([p for p, _ in cells])
-    blocks = [np.array([np.linalg.norm(p[:, None] - p[None], axis=2) for p, _ in cells
-                        if len(p) == n]) for n in (7, 4)]
     params = [q for _, qs in cells for q in qs]
     starts = np.cumsum([0] + [len(p) for p, _ in cells])
     expected = [(j + starts[c], i + starts[c]) for c, (p, qs) in enumerate(cells)
                 for j, i in build_graph(p, qs).edges]
-    g = build_graph(pos, params, distances=blocks)
+    g = build_graph(pos, params, pairs=_cell_pairs((7, 7, 7, 4, 4)))
     assert g.n_nodes == 29
     assert list(g.edges) == expected
-    g = build_graph(pos[:21], params[:21], distances=blocks[0])
+    g = build_graph(pos[:21], params[:21], pairs=_cell_pairs((7, 7, 7)))
     assert list(g.edges) == [e for e in expected if e[1] < 21]
 
 
 def _nonzero_form_edges(positions, radius, blocks):
-    """build_graph's (sources, receivers) written with the 2-D np.nonzero."""
+    """build_graph's (sources, receivers) written with the 2-D np.nonzero
+    over (C, n, n) per-cell distance blocks, one per run of equal n."""
     sources, receivers, lo = [], [], 0
     for dist in blocks:
         n = dist.shape[-1]
@@ -132,7 +144,8 @@ def _nonzero_form_edges(positions, radius, blocks):
 def test_edge_list_equals_nonzero_form():
     # Per-agent radii on an integer lattice, where many pairs sit at exactly
     # a radius (3-4-5 triangles, unit steps): such a pair is an edge.  Then
-    # (C, n, n) cell blocks, as one block and as a list of runs.
+    # stacked cells over their candidate pairs, against the nonzero form of
+    # their (C, n, n) blocks, for the whole stack and for its first run.
     rng = np.random.default_rng(91)
     exact = 0
     for trial in range(30):
@@ -154,13 +167,100 @@ def test_edge_list_equals_nonzero_form():
     pos = np.concatenate(cells)
     blocks = [np.array([np.linalg.norm(c[:, None] - c[None], axis=2) for c in cells
                         if len(c) == n]) for n in (6, 3)]
-    for parts in (blocks, blocks[:1]):
-        rows = sum(b.shape[0] * b.shape[1] for b in parts)
-        g = build_graph(pos[:rows], params[:rows], distances=parts)
+    for parts, run in ((blocks, sizes), (blocks[:1], sizes[:3])):
+        rows = sum(run)
+        g = build_graph(pos[:rows], params[:rows], pairs=_cell_pairs(run))
         src, rcv = _nonzero_form_edges(pos[:rows], radius[:rows], parts)
         assert g.sources.tobytes() == src.tobytes() and g.receivers.tobytes() == rcv.tobytes()
-    g = build_graph(pos[:18], params[:18], distances=blocks[0])
-    assert g.sources.tobytes() == _nonzero_form_edges(pos[:18], radius[:18], blocks[:1])[0].tobytes()
+        assert g.sources.dtype == src.dtype and g.receivers.dtype == rcv.dtype
+    # The candidates' distances given, here read from the blocks.
+    pairs = _cell_pairs(sizes[:3])
+    dist = blocks[0].reshape(-1, 6)[pairs[1], pairs[0] % 6]
+    g = build_graph(pos[:18], params[:18], distances=dist, pairs=pairs)
+    src, rcv = _nonzero_form_edges(pos[:18], radius[:18], blocks[:1])
+    assert g.sources.tobytes() == src.tobytes() and g.receivers.tobytes() == rcv.tobytes()
+
+
+def _stacked_cells(rng, m):
+    """Cells of mixed n (2 included) stacked row-wise, with per-agent radii
+    (directed edges), integer-lattice positions (pairs at exactly a radius),
+    pairs below EPS_POS and equal velocities (zero relative velocity)."""
+    cells = []
+    for n in (2, 5, 2, 9, 5, 3, 12):
+        pos = rng.integers(0, 6, (n, m)).astype(float)
+        vel = rng.uniform(-2.0, 2.0, (n, m))
+        if n > 2:
+            pos[1] = pos[0]
+            pos[2] = pos[0] + rng.uniform(0.0, 0.5, m) * EPS_POS
+            vel[-1] = vel[0]
+        params = [InteractionParams(delta=float(rng.uniform(0.2, 3.0)),
+                                    eta=float(rng.uniform(0.0, 5.0)),
+                                    alpha=float(rng.choice([1.0, 2.0])),
+                                    radius=float(rng.choice([1.0, 2.0, 2.5, 5.0])))
+                  for _ in range(n)]
+        cells.append((pos, vel, params))
+    return cells
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_candidate_snapshot_is_per_cell_dense_snapshots(m):
+    # The snapshot over stacked cells' candidate pairs holds, cell by cell,
+    # the bits of that cell's own dense snapshot: edges, dp/dv, their norms,
+    # guard flags, offset weights and forces; its distances are cdist's, and
+    # each cell's minimum over its segment is the dense block's minimum.
+    rng = np.random.default_rng(60 + m)
+    seen = dict(exact=0, coincident=0, still=0, directed=0)
+    for _ in range(20):
+        cells = _stacked_cells(rng, m)
+        sizes = [len(pos) for pos, _, _ in cells]
+        pos, vel = (np.concatenate([c[k] for c in cells]) for k in (0, 1))
+        params = [q for _, _, qs in cells for q in qs]
+        pairs = _cell_pairs(sizes)
+        stacked = snapshot_of(pos, vel, params, pairs=pairs)
+        counts = np.array(sizes) * (np.array(sizes) - 1)
+        d_min = np.minimum.reduceat(stacked.distances, np.cumsum(counts) - counts)
+        accs = interaction_accelerations(stacked)
+        g, lo, e_lo = stacked.graph, 0, 0
+        for c, (p, v, qs) in enumerate(cells):
+            n = len(p)
+            dense = snapshot_of(p, v, qs)
+            e_hi = e_lo + dense.graph.n_edges
+            assert (g.receivers[e_lo:e_hi] - lo).tobytes() == dense.graph.receivers.tobytes()
+            assert (g.sources[e_lo:e_hi] - lo).tobytes() == dense.graph.sources.tobytes()
+            for name in ("dp", "dv", "dp_norm", "dv_norm", "pos_valid", "vel_valid",
+                         "w_pos", "w_vel"):
+                got, want = getattr(stacked, name)[e_lo:e_hi], getattr(dense, name)
+                assert got.tobytes() == want.tobytes(), (c, name)
+            assert accs[lo:lo + n].tobytes() == interaction_accelerations(dense).tobytes()
+            block = cdist(p, p)
+            own = slice(int(np.sum(counts[:c])), int(np.sum(counts[:c + 1])))
+            rcv, src = np.nonzero(~np.eye(n, dtype=bool))
+            assert stacked.distances[own].tobytes() == block[rcv, src].tobytes()
+            np.fill_diagonal(block, np.inf)
+            assert d_min[c] == block.min()
+            radius = np.array([q.radius for q in qs])
+            seen["exact"] += int(np.count_nonzero(block == radius[:, None]))
+            seen["coincident"] += int(np.count_nonzero(~dense.pos_valid))
+            seen["still"] += int(np.count_nonzero(~dense.vel_valid))
+            edges = set(dense.graph.edges)
+            seen["directed"] += sum((i, j) not in edges for j, i in edges)
+            lo, e_lo = lo + n, e_hi
+        assert e_lo == g.n_edges
+    assert min(seen.values()) >= 20, seen
+
+
+def test_candidate_distances_span_chunks():
+    # More candidate pairs than one chunk of the distance pass (2**15): each
+    # distance is still cdist's, across the chunk boundary too.
+    rng = np.random.default_rng(5)
+    sizes = (130, 2, 130)
+    cells = [rng.uniform(0.0, 40.0, (n, 3)) for n in sizes]
+    pos, pairs = np.concatenate(cells), _cell_pairs(sizes)
+    assert pairs[0].size > 2 ** 15
+    snap = snapshot_of(pos, pos[::-1].copy(), InteractionParams(radius=8.0), pairs=pairs)
+    want = np.concatenate([cdist(c, c)[~np.eye(len(c), dtype=bool)] for c in cells])
+    assert snap.distances.tobytes() == want.tobytes()
+    assert np.array_equal(snap.graph.receivers, pairs[1][snap.distances <= 8.0])
 
 
 def test_edge_order_and_degree_match_neighborhoods():
@@ -592,6 +692,18 @@ def test_lyapunov_monitor_reports_fields():
     assert report["spanning_tree"] is True
     assert isinstance(report["a_psd"], bool)
     assert np.isfinite(report["value"])
+
+
+def test_lyapunov_monitor_reports_non_psd_without_warning(caplog):
+    # A non-PSD A is carried by the report's a_psd and logged at DEBUG
+    # only; a monitor loop over many snapshots prints no warning per call.
+    pos = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 3.0]])
+    vel = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.5]])
+    with caplog.at_level(logging.DEBUG, logger="flocksim.graph"):
+        report = lyapunov_monitor(pos, vel, InteractionParams(delta=1.0, eta=3.0))
+    assert report["a_psd"] is False
+    assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
+    assert [r.levelno for r in caplog.records if "not PSD" in r.getMessage()] == [logging.DEBUG]
 
 
 def test_lyapunov_monitor_dissipates_on_psd_configs():

@@ -223,6 +223,10 @@ _LOCKSTEP_SPECS = {
                                      deltas=(1.0, 1e160, 1.5), seeds=2, duration=2.0),
     "spatial-fig7-short": dataclasses.replace(preset("spatial-fig7").sweep, duration=2.0),
     "small-sweep-seed-1": _small_sweep_spec(1, 3.0),
+    # Shared starts: every (n, seed) serves several eta and delta cells (n = 5
+    # twice), and the delta = 1e160 cells drop out of the stack at step 1.
+    "shared-starts-overflow": SweepSpec(etas=(0.0, 7.0, 21.0), ns=(2, 5, 5, 10),
+                                        deltas=(0.5, 1e160, 2.0), seeds=3, duration=2.0),
 }
 
 
@@ -256,6 +260,56 @@ def test_lockstep_sweep_drops_cells_with_non_finite_state(monkeypatch):
     assert failures == ref_failures
     assert rows and failures
     assert any(not f.endswith("for agent 0") for f in failures)
+
+
+def test_sweep_initializes_each_start_once(monkeypatch):
+    # A cell's start depends on its n and seed only, not on eta or delta:
+    # one engine.initialize per distinct (n, seed).
+    calls = []
+    real = engine.initialize
+
+    def counted(config):
+        calls.append((config.n, config.seed))
+        return real(config)
+
+    monkeypatch.setattr(lab, "initialize", counted)
+    spec = _LOCKSTEP_SPECS["shared-starts-overflow"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows, failures = sweep(spec)
+    assert sorted(calls) == sorted(set(product(spec.ns, range(spec.seeds))))
+    assert len(rows) + len(failures) == 3 * 4 * 3 * 3
+
+
+def _loop_pairs(sizes):
+    """(sources, receivers) of every ordered pair of distinct rows within
+    each cell of stacked ``sizes``, receiver-major, written as loops."""
+    pairs, lo = [], 0
+    for n in sizes:
+        pairs += [(j, i) for i in range(lo, lo + n) for j in range(lo, lo + n) if j != i]
+        lo += n
+    return np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+
+
+def test_cell_stack_pairs_follow_drops():
+    # The candidate pairs and their per-cell segments are rebuilt when cells
+    # leave the stack, down to an empty stack.
+    spec = SweepSpec(etas=(1.0, 2.0), ns=(3, 2, 4), seeds=2, duration=1.0)
+    cells = list(product(spec.etas, spec.ns, spec.deltas, range(spec.seeds)))
+    stack = lab._CellStack(cells, spec)
+    failed = {}
+    while True:
+        sizes = stack.sizes.tolist()
+        src, rcv = stack.pairs
+        want = _loop_pairs(sizes)
+        assert src.tobytes() == want[0].tobytes() and rcv.tobytes() == want[1].tobytes()
+        counts = [n * (n - 1) for n in sizes]
+        assert stack.segments.tolist() == np.cumsum([0] + counts)[:-1].tolist()
+        assert stack.world.positions.shape[0] == sum(sizes) == stack.world.params.delta.shape[0]
+        if not sizes:
+            break
+        # Fail the first agent of every other stacked cell.
+        stack.drop(SimulationNumericsError(1, *stack.starts[::2].tolist()), failed)
+    assert sorted(failed) == list(range(len(cells)))
 
 
 def test_sweep_steps_only_through_engine_step(monkeypatch):
