@@ -150,9 +150,16 @@ def apply_adaptation(
     has = count > 0
     thr = np.full(n, float(e_th))
     thr[has] = e_th - low[has] / count[has] * (e_th - e_min[has])
-    # The sigmoid stays scalar: np.exp and math.exp differ in the last bit
-    # on ~5 % of inputs, and whole runs reproduce the per-agent
-    # adaptive_delta/adaptive_eta bit for bit.
-    pairs = list(zip(energies.tolist(), thr.tolist()))
-    return params._replace(delta=np.array([adaptive_delta(e, t, adaptation) for e, t in pairs]),
-                           eta=np.array([adaptive_eta(e, t, adaptation) for e, t in pairs]))
+    gap = energies - thr
+    return params._replace(
+        delta=_interpolate(adaptation.delta_min, adaptation.delta_max, adaptation.k_delta * gap),
+        eta=_interpolate(adaptation.eta_min, adaptation.eta_max, adaptation.k_eta * gap))
+
+
+def _interpolate(low: float, high: float, x: np.ndarray) -> np.ndarray:
+    """low + (high - low) * _sigmoid(x) per element, bit for bit: the exp
+    goes through math.exp, as np.exp differs in the last bit on ~5 % of
+    inputs, and whole runs reproduce adaptive_delta/adaptive_eta."""
+    up = x >= 0  # NaN takes _sigmoid's x < 0 branch, as there
+    z = np.array(list(map(math.exp, np.where(up, -x, x).tolist())))
+    return low + (high - low) * (np.where(up, 1.0, z) / (1.0 + z))

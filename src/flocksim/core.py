@@ -15,7 +15,8 @@ from __future__ import annotations
 import math
 import numbers
 from collections import namedtuple
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass, fields
+from operator import attrgetter
 
 import numpy as np
 
@@ -147,6 +148,7 @@ class InteractionParams:
 
 
 AgentParams = namedtuple("AgentParams", [f.name for f in fields(InteractionParams)])
+_block_fields = attrgetter(*AgentParams._fields)
 
 
 def agent_params(params, n: int) -> AgentParams:
@@ -155,11 +157,11 @@ def agent_params(params, n: int) -> AgentParams:
     if isinstance(params, AgentParams):
         return params
     if isinstance(params, InteractionParams):
-        return AgentParams(*np.repeat(np.array([astuple(params)], dtype=float).T, n, axis=1))
+        return AgentParams(*np.repeat(np.array([_block_fields(params)], dtype=float).T, n, axis=1))
     blocks = list(params)
     if len(blocks) != n or not all(isinstance(b, InteractionParams) for b in blocks):
         raise ValueError(f"need {n} InteractionParams blocks, got {len(blocks)}: {blocks!r:.50}")
-    return AgentParams(*np.array([astuple(b) for b in blocks], dtype=float).T.copy())
+    return AgentParams(*np.array(list(map(_block_fields, blocks)), dtype=float).T.copy())
 
 
 @dataclass(frozen=True)

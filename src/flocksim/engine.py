@@ -15,22 +15,25 @@ come from the snapshot's edge flags, so lab.sweep's stacked cells, one
 World whose snapshot covers only pairs within a cell, take the same
 step().  Each stage reproduces the per-agent functions bit for bit.
 
-Determinism holds for a fixed (config, seed): initialization uses
-per-agent spawned RNG streams, and each agent's force sums its in-edges
-in source order.  ``workers`` is still accepted and validated (>= 1) so
-existing config files load, but it selects nothing.
+Determinism holds for a fixed (config, seed): each agent's start comes
+from its own spawned PCG64 stream (spawned_draws evaluates SeedSequence
+and PCG64 for all agents at once in integer arithmetic), and each agent's
+force sums its in-edges in source order.  ``workers`` is still accepted
+and validated (>= 1) so existing config files load, but it selects nothing.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 
 from . import metrics as metrics_mod
 from .cognition import AdaptationParams, EnergyState, apply_adaptation
 from .core import (
+    EPS_VEL,
     AgentParams,
     AgentState,
     ConfigError,
@@ -42,7 +45,6 @@ from .core import (
     as_number,
     check_fields,
     cucker_smale_acceleration,
-    saturate_velocity,
 )
 from .environment import ObstacleSpec, TargetSpec, add_environment_terms
 from .graph import Snapshot, interaction_accelerations, snapshot_of
@@ -113,12 +115,12 @@ class SimConfig:
             raise ConfigError("workers must be >= 1")
         for name in ("init_pos_range", "init_vel_range"):
             object.__setattr__(self, name, _normalize_ranges(getattr(self, name), self.m, name))
-        try:
-            if not isinstance(self.params, InteractionParams):
+        if not isinstance(self.params, InteractionParams):  # a shared block needs no table
+            try:
                 object.__setattr__(self, "params", tuple(self.params))
-            agent_params(self.params, self.n)
-        except (TypeError, ValueError, MemoryError) as exc:
-            raise ConfigError(f"params: {exc}") from exc
+                agent_params(self.params, self.n)
+            except (TypeError, ValueError, MemoryError) as exc:
+                raise ConfigError(f"params: {exc}") from exc
         for name, cls in (("target", TargetSpec), ("energy", EnergyState),
                           ("adaptation", AdaptationParams), ("cucker_smale", CuckerSmaleParams)):
             if not isinstance(getattr(self, name), (cls, type(None))):
@@ -183,28 +185,101 @@ class World:
         return AgentState(self.positions[i].copy(), self.velocities[i].copy())
 
 
-def initialize(config: SimConfig) -> World:
+# NumPy's SeedSequence hash constants (uint32) and PCG64's 128-bit multiplier.
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _M32 = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF
+_PCG_HI, _PCG_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
+
+
+def _hash(v, hc: int, mult: int):
+    """SeedSequence's hash of the word(s) v under constant hc, and the next
+    constant; v is a Python int or a uint32 array, which wraps."""
+    nxt = hc * mult & _M32
+    v = (v ^ hc) * nxt & _M32
+    return v ^ v >> 16, nxt
+
+
+def _mix(x, y):
+    x = ((_MIX_L * x & _M32) - y * _MIX_R) & _M32
+    return x ^ x >> 16
+
+
+def _pcg_step(hi, lo, inc_hi, inc_lo):
+    """PCG64's LCG step, state * multiplier + inc mod 2**128, on uint64 limbs;
+    the product's carry into the high limb is summed from 32-bit halves."""
+    a0, a1 = lo & _M32, lo >> 32
+    p01, p10 = a0 * (_PCG_LO >> 32), a1 * (_PCG_LO & _M32)
+    mid = (a0 * (_PCG_LO & _M32) >> 32) + (p01 & _M32) + (p10 & _M32)
+    carry = a1 * (_PCG_LO >> 32) + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+    new_lo = lo * _PCG_LO + inc_lo
+    return carry + lo * _PCG_HI + hi * _PCG_LO + inc_hi + (new_lo < inc_lo), new_lo
+
+
+def spawned_draws(seed: int, n: int, k: int) -> np.ndarray:
+    """(n, k) uint64 words: row i is PCG64(SeedSequence(seed).spawn(n)[i]).random_raw(k)
+    bit for bit, for all rows at once, and does not depend on n.  The steps
+    follow NumPy's mix_entropy, generate_state and PCG64 seeding and output;
+    only the last entropy word, the spawn key i, is an array."""
+    if n > 2**32:  # spawn keys past one uint32 word
+        raise ConfigError(f"cannot seed {n} agents (at most 2**32)")
+    try:
+        words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+        words += [0] * (4 - len(words)) + [np.arange(n, dtype=np.uint32)]
+        hc, pool = _INIT_A, []
+        for w in words[:4]:
+            v, hc = _hash(w, hc, _MULT_A)
+            pool.append(v)
+        for src, dst in product(range(4), repeat=2):
+            if src != dst:
+                v, hc = _hash(pool[src], hc, _MULT_A)
+                pool[dst] = _mix(pool[dst], v)
+        for w, dst in product(words[4:], range(4)):
+            v, hc = _hash(w, hc, _MULT_A)
+            pool[dst] = _mix(pool[dst], v)
+        hc, state = _INIT_B, []
+        for j in range(8):
+            v, hc = _hash(pool[j % 4], hc, _MULT_B)
+            state.append(v)
+        state = np.array(state, dtype=np.uint64)
+        s_hi, s_lo, q_hi, q_lo = state[0::2] | state[1::2] << 32
+        # inc = 2 * initseq + 1; the state starts at inc + initstate, stepped once.
+        inc_hi, inc_lo = q_hi << 1 | q_lo >> 63, q_lo << 1 | 1
+        lo = inc_lo + s_lo
+        hi = inc_hi + s_hi + (lo < s_lo)
+        out = np.empty((n, k), dtype=np.uint64)
+        for j in range(k + 1):
+            hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+            if j:  # XSL-RR output of the stepped state
+                x, rot = hi ^ lo, hi >> 58
+                out[:, j - 1] = x >> rot | x << (-rot & 63)
+        return out
+    except MemoryError as exc:
+        raise ConfigError(f"cannot seed {n} agents: {exc}") from exc
+
+
+def initialize(config: SimConfig, draws: np.ndarray | None = None) -> World:
     """Seeded initial world; per-agent spawned streams, position then velocity.
 
     Each row is Generator(PCG64(stream)).uniform(lo, hi) bit for bit, as
-    NumPy computes it: lo + (hi - lo) * u, u = (raw >> 11) * 2**-53 per raw draw.
+    NumPy computes it: lo + (hi - lo) * u, u = (raw >> 11) * 2**-53 per raw
+    draw, with the raw words from spawned_draws.  ``draws`` may pass
+    spawned_draws(config.seed, N, 2 * m) for any N >= n; its first n rows
+    are used.  ConfigError if the world cannot be allocated.
     """
-    m = config.m
-    raw = np.array([np.random.PCG64(ss).random_raw(2 * m)
-                    for ss in np.random.SeedSequence(config.seed).spawn(config.n)])
-    lo, hi = np.array(config.init_pos_range + config.init_vel_range).T
-    state = lo + (hi - lo) * ((raw >> 11) * 2.0**-53)
-    positions, velocities = state[:, :m].copy(), state[:, m:].copy()
+    m, n = config.m, config.n
+    raw = spawned_draws(config.seed, n, 2 * m) if draws is None else draws[:n]
+    try:
+        lo, hi = np.array(config.init_pos_range + config.init_vel_range).T
+        state = lo + (hi - lo) * ((raw >> 11) * 2.0**-53)
+        positions, velocities = state[:, :m].copy(), state[:, m:].copy()
+        params = agent_params(config.params, n)
+    except MemoryError as exc:
+        raise ConfigError(f"cannot initialize {n} agents: {exc}") from exc
     energies = None
     if config.energy is not None:
-        energies = np.full(config.n, float(config.energy.energy))
-    return World(
-        config=config,
-        positions=positions,
-        velocities=velocities,
-        params=agent_params(config.params, config.n),
-        energies=energies,
-    )
+        energies = np.full(n, float(config.energy.energy))
+    return World(config=config, positions=positions, velocities=velocities,
+                 params=params, energies=energies)
 
 
 def neighbors(world: World) -> Snapshot:
@@ -238,15 +313,23 @@ def integrate(positions: np.ndarray, velocities: np.ndarray, acc: np.ndarray,
     stacked sweep cell integrates as its own run would."""
     limit = params.v_max / params.t_vmax
     norm = _row_norms(acc)
-    over = norm > limit
-    acc[over] = (limit[over] / norm[over])[:, None] * acc[over]
+    over = np.flatnonzero(norm > limit)
+    if over.size:
+        acc[over] = (limit.take(over) / norm.take(over))[:, None] * acc.take(over, axis=0)
 
     velocities = velocities + acc * dt
     positions = positions + velocities * dt
     # The smooth cap engages only above v_max: repeated sub-limit
-    # application would act as drag and bleed the group's momentum.
-    for i in np.flatnonzero(_row_norms(velocities) > params.v_max).tolist():
-        velocities[i] = saturate_velocity(velocities[i], float(params.v_max[i]))
+    # application would act as drag and bleed the group's momentum.  Rows
+    # are saturate_velocity's, with math.tanh (np.tanh can differ in the
+    # last bit).
+    speed = _row_norms(velocities)
+    over = np.flatnonzero(speed > params.v_max)
+    if over.size:
+        s, v_max = speed.take(over), params.v_max.take(over)
+        scale = v_max * np.fromiter(map(math.tanh, (s / v_max).tolist()), float, over.size) / s
+        scale[s < EPS_VEL] = 1.0  # saturate_velocity returns these unchanged
+        velocities[over] = scale[:, None] * velocities.take(over, axis=0)
     return positions, velocities
 
 

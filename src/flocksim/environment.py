@@ -11,6 +11,7 @@ terms to every agent at once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -129,7 +130,9 @@ def add_environment_terms(acc: np.ndarray, positions: np.ndarray,
         to_center = np.asarray(o.center) - positions
         dist = _row_norms(to_center)
         hit = np.flatnonzero(dist <= o.detection)
-        if hit.size:
-            rho = np.array([rho_weight(d, o.detection, o.sigma_o) for d in dist[hit].tolist()])
-            acc[hit] = acc[hit] + rho[:, None] * to_center[hit]
+        if hit.size:  # rho_weight per pair: Python's max, ** and min, in array form
+            d = dist[hit]
+            ratio = (o.detection / np.where(EPS_POS > d, EPS_POS, d)).tolist()
+            w = 1.0 - np.array(list(map(pow, ratio, repeat(o.sigma_o))))
+            acc[hit] = acc[hit] + np.where(w < 0.0, w, 0.0)[:, None] * to_center[hit]
     return acc

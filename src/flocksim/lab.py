@@ -20,7 +20,7 @@ import numpy as np
 from .cognition import AdaptationParams, EnergyState
 from .core import AgentParams, CuckerSmaleParams, InteractionParams, agent_params, check_fields
 from .engine import (ConfigError, SimConfig, SimulationNumericsError, Trajectory, World,
-                     initialize, step)
+                     initialize, spawned_draws, step)
 from .environment import ObstacleSpec, TargetSpec
 from .graph import snapshot_of
 from .metrics import aggregation_radius, alignment_score
@@ -93,19 +93,11 @@ class ScenarioPreset:
 
 
 def _fig2_config(n: int, eta: float, **overrides) -> SimConfig:
-    base = dict(
-        n=n,
-        duration=30.0,
-        m=2,
-        dt=0.1,
-        seed=0,
-        init_pos_range=(0.0, 10.0),
-        init_vel_range=(-1.0, 1.0),
-        params=InteractionParams(delta=1.0, eta=eta, alpha=2.0, beta=1.0,
-                                 radius=10.0, v_max=5.0, t_vmax=1.0),
-    )
-    base.update(overrides)
-    return SimConfig(**base)
+    # Everything else is a default: delta 1, alpha 2, beta 1, radius 10 m,
+    # v_max 5 m/s, t_vmax 1 s; 2-D, dt 0.1 s, seed 0.
+    base = dict(n=n, duration=30.0, init_pos_range=(0.0, 10.0), init_vel_range=(-1.0, 1.0),
+                params=InteractionParams(eta=eta))
+    return SimConfig(**{**base, **overrides})
 
 
 def _build_presets() -> dict[str, ScenarioPreset]:
@@ -138,68 +130,36 @@ def _build_presets() -> dict[str, ScenarioPreset]:
             "with init boxes widened for large n (grid reconstructed, "
             "not tabulated in the source figures)"
         ),
-        sweep=SweepSpec(
-            etas=tuple(float(e) for e in range(34)),
-            ns=(2, 3, 5, 10, 50, 100),
-            seeds=1,
-        ),
+        sweep=SweepSpec(etas=tuple(float(e) for e in range(34)), ns=(2, 3, 5, 10, 50, 100)),
     )
     presets["spatial-fig7"] = ScenarioPreset(
         name="spatial-fig7",
-        config=_fig2_config(
-            100, 3.0, init_pos_range=(0.0, init_upper_for(100)),
-        ),
+        config=_fig2_config(100, 3.0, init_pos_range=(0.0, init_upper_for(100))),
         note=(
             "100 agents, spacing-offset sweep crossed with ordered "
             "(eta=3) and disordered (eta=21) regimes; delta grid "
             "0.5..2 reconstructed from the named values"
         ),
-        sweep=SweepSpec(
-            etas=(3.0, 21.0),
-            ns=(100,),
-            deltas=(0.5, 1.0, 1.5, 2.0),
-            seeds=1,
-        ),
+        sweep=SweepSpec(etas=(3.0, 21.0), ns=(100,), deltas=(0.5, 1.0, 1.5, 2.0)),
     )
     presets["cluttered-fig6"] = ScenarioPreset(
         name="cluttered-fig6",
-        config=SimConfig(
-            n=10,
-            duration=40.0,
-            m=2,
-            dt=0.1,
-            seed=0,
-            init_pos_range=(0.0, 10.0),
-            init_vel_range=(-1.0, 1.0),
-            params=InteractionParams(delta=1.0, eta=0.5, alpha=2.0, beta=1.0,
-                                     radius=10.0, v_max=5.0, t_vmax=1.0),
-            cluttered=True,
+        config=_fig2_config(
+            10, 0.5, duration=40.0, cluttered=True,
             target=TargetSpec(position=(90.0, 90.0), kappa=0.5),
-            obstacles=(
-                ObstacleSpec(center=(25.0, 30.0), radius=5.0, detection=15.0, sigma_o=3.0),
-                ObstacleSpec(center=(50.0, 40.0), radius=5.0, detection=15.0, sigma_o=3.0),
-                ObstacleSpec(center=(90.0, 80.0), radius=5.0, detection=15.0, sigma_o=3.0),
-            ),
+            obstacles=tuple(ObstacleSpec(center=c, radius=5.0, detection=15.0, sigma_o=3.0)
+                            for c in ((25.0, 30.0), (50.0, 40.0), (90.0, 80.0))),
         ),
         note="10 agents crossing a 100x100 m field with three obstacles "
              "toward a target at (90, 90)",
     )
     presets["adaptive-fig9"] = ScenarioPreset(
         name="adaptive-fig9",
-        config=SimConfig(
-            n=20,
-            duration=60.0,
-            m=2,
-            dt=0.1,
-            seed=0,
-            init_pos_range=(0.0, 10.0),
-            init_vel_range=(-1.0, 1.0),
-            params=InteractionParams(delta=2.0, eta=15.0, alpha=2.0, beta=1.0,
-                                     radius=10.0, v_max=5.0, t_vmax=1.0),
+        config=_fig2_config(
+            20, 15.0, duration=60.0, params=InteractionParams(delta=2.0, eta=15.0),
             adaptive=True,
             energy=EnergyState(energy=80.0, initial=80.0, c1=0.15, c2=0.015),
-            adaptation=AdaptationParams(delta_min=0.5, delta_max=2.0,
-                                        eta_min=3.0, eta_max=15.0,
+            adaptation=AdaptationParams(delta_min=0.5, delta_max=2.0, eta_min=3.0, eta_max=15.0,
                                         k_delta=0.5, k_eta=0.5, e_th=40.0),
         ),
         note="20 agents spending energy; offsets decay from the swarming "
@@ -208,16 +168,8 @@ def _build_presets() -> dict[str, ScenarioPreset]:
     )
     presets["cucker-smale-baseline"] = ScenarioPreset(
         name="cucker-smale-baseline",
-        config=SimConfig(
-            n=10,
-            duration=30.0,
-            m=2,
-            dt=0.1,
-            seed=0,
-            init_pos_range=(0.0, 10.0),
-            init_vel_range=(-1.0, 1.0),
-            cucker_smale=CuckerSmaleParams(k_gain=1.0, sigma_cs=1.0, gamma=0.5),
-        ),
+        config=_fig2_config(10, 3.0, cucker_smale=CuckerSmaleParams(k_gain=1.0, sigma_cs=1.0,
+                                                                     gamma=0.5)),
         note="globally coupled velocity-consensus comparison law; no "
              "spacing term, so no collision floor",
     )
@@ -248,11 +200,15 @@ class _CellStack:
     velocities and every params column.  ``pairs`` = (sources, receivers)
     lists every ordered pair of distinct rows within a cell, sorted by
     (receiver, source); cell k's pairs start at segments[k].  Each (n, seed)
-    start is initialized once: delta and eta only fill a cell's params."""
+    start is initialized once (delta and eta only fill a cell's params), from
+    one spawned_draws per seed at the largest n: its first n rows are the
+    n-agent draw."""
 
     def __init__(self, cells: list[tuple], spec: SweepSpec):
+        draws = [spawned_draws(seed, max(spec.ns), 4) for seed in range(spec.seeds)]
         firsts = {(n, seed): initialize(SimConfig(n, spec.duration, dt=spec.dt, seed=seed,
-                                                  init_pos_range=(0.0, init_upper_for(n))))
+                                                  init_pos_range=(0.0, init_upper_for(n))),
+                                        draws[seed])
                   for n, seed in product(set(spec.ns), range(spec.seeds))}
         ids = sorted(range(len(cells)), key=lambda c: cells[c][1])
         stacked = [cells[c] for c in ids]  # (eta, n, delta, seed)
@@ -300,16 +256,16 @@ class _CellStack:
 def sweep(spec: SweepSpec) -> tuple[list[SweepRow], list[str]]:
     """Run the full grid; failed cells are recorded and skipped.
 
-    Every cell starts from engine.initialize of its n and seed, with its
-    own delta and eta; then all cells, which share dt and duration, advance
-    in lockstep as one World stacked by n.  Each snapshot is the
-    graph.Snapshot over the stack's candidate pairs (the distinct pairs
-    within each cell; a cell's minimum pair distance reduces its segment),
-    and engine.step advances the stack on it as on a single run.  Rows and
-    failure messages are byte-identical to one engine.run per cell.  A cell
-    whose forces or state turn non-finite fails at that step, naming its own
-    agent index, and leaves the stack; the others go on (after a force
-    failure, the same step again without that cell).
+    Every cell starts from engine.initialize of its n and seed (one raw
+    draw per seed), with its own delta and eta; then all cells, which share
+    dt and duration, advance in lockstep as one World stacked by n.  Each
+    snapshot is the graph.Snapshot over the stack's candidate pairs (the
+    distinct pairs within each cell; a cell's minimum pair distance reduces
+    its segment), and engine.step advances the stack on it as on a single
+    run.  Rows and failure messages are byte-identical to one engine.run per
+    cell.  A cell whose forces or state turn non-finite fails at that step,
+    naming its own agent index, and leaves the stack; the others go on
+    (after a force failure, the same step again without that cell).
 
     Cell order (and therefore row and failure order) is eta-major, then
     n, then delta, then seed.
@@ -339,15 +295,9 @@ def sweep(spec: SweepSpec) -> tuple[list[SweepRow], list[str]]:
         lo = start[c]
         r_agg = aggregation_radius(world.positions[lo:lo + n])
         rows.append(SweepRow(
-            eta=eta,
-            n=n,
-            seed=seed,
-            h_final=alignment_score(world.velocities[lo:lo + n]),
-            r_agg_final=r_agg,
-            d_min_overall=float(d_min[c]),
-            aggregation_lost=r_agg > spec.breakdown_radius,
-            delta=delta,
-        ))
+            eta=eta, n=n, seed=seed, h_final=alignment_score(world.velocities[lo:lo + n]),
+            r_agg_final=r_agg, d_min_overall=float(d_min[c]),
+            aggregation_lost=r_agg > spec.breakdown_radius, delta=delta))
     return rows, failures
 
 

@@ -161,8 +161,8 @@ def test_sweep_bad_spec_exits_1(tmp_path, capsys):
 
 @pytest.mark.parametrize("axis", [{"deltas": [-1.0]}, {"etas": [-0.5]}, {"ns": [1]},
                                   {"breakdown_radius": -5.0},
-                                  # A cell whose (7, n) params table (5 TiB) cannot
-                                  # be allocated; the request fails at once.
+                                  # A cell too large to seed (n > 2**32 agent
+                                  # streams); the request fails at once.
                                   {"ns": [100000000000]}],
                          ids=["delta-negative", "eta-negative", "n-below-2",
                               "breakdown-radius-negative", "n-unallocatable"])
@@ -202,7 +202,7 @@ _BAD_VALUES = {
     "energy-string": '{"n": 4, "duration": 1.0, "energy": {"initial": "80"}}',
     "e-th-bool": '{"n": 4, "duration": 1.0, "adaptive": true, "energy": {"initial": 80.0}, '
                  '"adaptation": {"e_th": true}}',
-    # The (7, n) params table (5 TiB) cannot be allocated; the request fails at once.
+    # Too large to seed (simulate) or to record (validate); the request fails at once.
     "n-unallocatable": '{"n": 100000000000, "duration": 1}',
 }
 

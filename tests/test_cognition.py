@@ -20,6 +20,7 @@ from flocksim import (
     energy_derivative,
     low_energy_fraction,
 )
+from flocksim.core import all_neighborhoods
 
 
 def test_energy_state_validation():
@@ -168,3 +169,28 @@ def test_apply_adaptation_validates_lengths():
     with pytest.raises(ValueError):
         apply_adaptation(pos, np.zeros(3), [InteractionParams()] * 2,
                          AdaptationParams())
+
+
+def test_apply_adaptation_matches_scalar_functions_bitwise():
+    # Isolated agents keep the threshold e_th, so k * (E - e_th) spans both
+    # signs, zero, the overflow branch (+-800) and NaN; a clustered group
+    # adds neighbor-blended thresholds.
+    adap = AdaptationParams(k_delta=0.5, k_eta=0.25, e_th=40.0)
+    rng = np.random.default_rng(5)
+    x = np.concatenate([[0.0, -0.0, 800.0, -800.0, 1e-12, -1e-12, np.nan, np.inf, -np.inf],
+                        rng.normal(0.0, 3.0, 400)])
+    energies = np.concatenate([adap.e_th + x / adap.k_delta, rng.uniform(0.0, 100.0, 10)])
+    n = energies.shape[0]
+    pos = np.zeros((n, 2))
+    pos[:-10, 0] = 100.0 * np.arange(n - 10)
+    pos[-10:] = rng.uniform(-1e4, -1e4 + 3.0, (10, 2))
+    params = [InteractionParams(radius=2.0)] * n
+    out = apply_adaptation(pos, energies, params, adap)
+    nbrs = all_neighborhoods(pos, 2.0)
+    thr = [adaptive_threshold(energies, nb, adap.e_th) for nb in nbrs]
+    want_delta = np.array([adaptive_delta(e, t, adap) for e, t in zip(energies, thr)])
+    want_eta = np.array([adaptive_eta(e, t, adap) for e, t in zip(energies, thr)])
+    assert out.delta.tobytes() == want_delta.tobytes()
+    assert out.eta.tobytes() == want_eta.tobytes()
+    assert out.delta[2] == adap.delta_max and out.delta[3] == adap.delta_min
+    assert np.isnan(out.delta[6]) and sum(nb.count > 0 for nb in nbrs) >= 5

@@ -227,6 +227,10 @@ _LOCKSTEP_SPECS = {
     # twice), and the delta = 1e160 cells drop out of the stack at step 1.
     "shared-starts-overflow": SweepSpec(etas=(0.0, 7.0, 21.0), ns=(2, 5, 5, 10),
                                         deltas=(0.5, 1e160, 2.0), seeds=3, duration=2.0),
+    # Four seeds, each drawn once at n = 10 and shared by its smaller and
+    # repeated n, listed largest first.
+    "seeds-repeated-n": SweepSpec(etas=(2.0, 9.0, 25.0), ns=(10, 3, 10, 2, 3),
+                                  seeds=4, duration=1.5),
 }
 
 
@@ -264,19 +268,26 @@ def test_lockstep_sweep_drops_cells_with_non_finite_state(monkeypatch):
 
 def test_sweep_initializes_each_start_once(monkeypatch):
     # A cell's start depends on its n and seed only, not on eta or delta:
-    # one engine.initialize per distinct (n, seed).
-    calls = []
-    real = engine.initialize
+    # one engine.initialize per distinct (n, seed), all fed by one raw draw
+    # per seed at the largest n.
+    calls, draws = [], []
+    real, real_draws = engine.initialize, engine.spawned_draws
 
-    def counted(config):
+    def counted(config, raw):
         calls.append((config.n, config.seed))
-        return real(config)
+        return real(config, raw)
+
+    def counted_draws(seed, n, k):
+        draws.append((seed, n, k))
+        return real_draws(seed, n, k)
 
     monkeypatch.setattr(lab, "initialize", counted)
+    monkeypatch.setattr(lab, "spawned_draws", counted_draws)
     spec = _LOCKSTEP_SPECS["shared-starts-overflow"]
     with np.errstate(over="ignore", invalid="ignore"):
         rows, failures = sweep(spec)
     assert sorted(calls) == sorted(set(product(spec.ns, range(spec.seeds))))
+    assert draws == [(seed, 10, 4) for seed in range(spec.seeds)]
     assert len(rows) + len(failures) == 3 * 4 * 3 * 3
 
 
