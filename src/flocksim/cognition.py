@@ -23,12 +23,11 @@ from .graph import InteractionGraph, build_graph
 
 @dataclass(frozen=True)
 class EnergyState:
-    """Current and initial energy with the drain coefficients.
+    """Initial energy, at which every agent starts, and the drain coefficients.
 
     dE/dt = -c1 * ||a||^2 - c2, so c2 > 0 guarantees strict decrease.
     """
 
-    energy: float
     initial: float
     c1: float = 0.15
     c2: float = 0.015

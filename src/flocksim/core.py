@@ -12,8 +12,11 @@ Distances are in meters, velocities in m/s, accelerations in m/s^2.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
+import re
+import sys
 from collections import namedtuple
 from dataclasses import dataclass, fields
 from operator import attrgetter
@@ -43,26 +46,57 @@ def as_number(value, name: str, integral: bool = False):
     return int(value) if integral else float(value)
 
 
+# The annotations of a field that holds config dataclass X: "X | None",
+# "X | tuple[X, ...]" and "tuple[X, ...]"; the group that matched names X.
+_BLOCK_FIELD = re.compile(r"(\w+) \| None|(\w+) \| tuple\[\2, \.\.\.\]|tuple\[(\w+), \.\.\.\]")
+
+
+@functools.cache
+def schema(cls) -> dict:
+    """Field name -> (annotation as written, block) for each field of the
+    dataclass ``cls``; block is the config dataclass X of a field annotated
+    in one of _BLOCK_FIELD's forms, looked up in the module that defines
+    ``cls``, and None for any other field."""
+    module = sys.modules[cls.__module__]
+    out = {}
+    for f in fields(cls):
+        match = (f.type not in ("tuple[int, ...]", "tuple[float, ...]")
+                 and _BLOCK_FIELD.fullmatch(f.type))
+        out[f.name] = f.type, getattr(module, next(filter(None, match.groups()))) if match else None
+    return out
+
+
 def check_fields(spec) -> None:
     """Check the fields of the frozen dataclass ``spec`` by their annotation
-    and store them as Python numbers.  An ``int`` or ``float`` field goes
-    through as_number; a ``bool`` field must hold a bool; a
-    ``tuple[float, ...]`` or ``tuple[int, ...]`` field takes a list, tuple
-    or 1-D array, checked element by element.  Any other field is left to
-    the block.  Annotations are read as written, which needs the block's
-    module to use ``from __future__ import annotations``."""
-    for f in fields(spec):
-        value, kind = getattr(spec, f.name), f.type
+    (schema) and store them as Python numbers and tuples.  An ``int`` or
+    ``float`` field goes through as_number; a ``bool`` field must hold a
+    bool; a ``tuple[float, ...]`` or ``tuple[int, ...]`` field takes a list,
+    tuple or 1-D array, checked element by element.  A field annotated
+    ``X | None``, ``tuple[X, ...]`` or ``X | tuple[X, ...]``, with X a config
+    dataclass, takes what its annotation names, and a list or tuple of X
+    where it names ``tuple[X, ...]``, stored as a tuple.  Any other field is
+    left to the block.  Annotations are read as written, which needs the
+    block's module to use ``from __future__ import annotations``."""
+    for name, (kind, block) in schema(type(spec)).items():
+        value = getattr(spec, name)
         if kind == "bool" and not isinstance(value, bool):
-            raise ConfigError(f"{f.name} must be true or false, got {value!r}")
+            raise ConfigError(f"{name} must be true or false, got {value!r}")
         if kind in ("int", "float"):
-            object.__setattr__(spec, f.name, as_number(value, f.name, kind == "int"))
+            object.__setattr__(spec, name, as_number(value, name, kind == "int"))
         elif kind in ("tuple[int, ...]", "tuple[float, ...]"):
             if not (isinstance(value, (list, tuple))
                     or isinstance(value, np.ndarray) and value.ndim == 1):
-                raise ConfigError(f"{f.name} must be a list of numbers, got {value!r}")
-            object.__setattr__(spec, f.name, tuple(
-                as_number(x, f.name, kind == "tuple[int, ...]") for x in value))
+                raise ConfigError(f"{name} must be a list of numbers, got {value!r}")
+            object.__setattr__(spec, name, tuple(
+                as_number(x, name, kind == "tuple[int, ...]") for x in value))
+        elif block:
+            if (value is None and kind.endswith(" | None")
+                    or isinstance(value, block) and not kind.startswith("tuple")):
+                continue
+            if not ("tuple[" in kind and isinstance(value, (list, tuple))
+                    and all(isinstance(b, block) for b in value)):
+                raise ConfigError(f"{name}: expected {kind}, got {value!r:.80}")
+            object.__setattr__(spec, name, tuple(value))
 
 
 class DegeneratePairError(ValueError):

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import product
 
 import numpy as np
 
@@ -115,20 +114,9 @@ class SimConfig:
             raise ConfigError("workers must be >= 1")
         for name in ("init_pos_range", "init_vel_range"):
             object.__setattr__(self, name, _normalize_ranges(getattr(self, name), self.m, name))
-        if not isinstance(self.params, InteractionParams):  # a shared block needs no table
-            try:
-                object.__setattr__(self, "params", tuple(self.params))
-                agent_params(self.params, self.n)
-            except (TypeError, ValueError, MemoryError) as exc:
-                raise ConfigError(f"params: {exc}") from exc
-        for name, cls in (("target", TargetSpec), ("energy", EnergyState),
-                          ("adaptation", AdaptationParams), ("cucker_smale", CuckerSmaleParams)):
-            if not isinstance(getattr(self, name), (cls, type(None))):
-                raise ConfigError(f"{name}: expected {cls.__name__}, got {getattr(self, name)!r}")
-        if not (isinstance(self.obstacles, (list, tuple))
-                and all(isinstance(o, ObstacleSpec) for o in self.obstacles)):
-            raise ConfigError(f"obstacles: expected ObstacleSpecs, got {self.obstacles!r}")
-        object.__setattr__(self, "obstacles", tuple(self.obstacles))
+        if isinstance(self.params, tuple) and len(self.params) != self.n:
+            raise ConfigError(f"params: need {self.n} InteractionParams blocks, "
+                              f"got {len(self.params)}")
         if self.cucker_smale is not None and (self.cluttered or self.adaptive):
             raise ConfigError("cucker_smale runs exclude cluttered/adaptive modes")
         if (self.target is not None or self.obstacles) and not self.cluttered:
@@ -192,8 +180,8 @@ _PCG_HI, _PCG_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
 
 
 def _hash(v, hc: int, mult: int):
-    """SeedSequence's hash of the word(s) v under constant hc, and the next
-    constant; v is a Python int or a uint32 array, which wraps."""
+    """SeedSequence's hash of the uint32 words v (which wrap) under constant
+    hc, and the next constant."""
     nxt = hc * mult & _M32
     v = (v ^ hc) * nxt & _M32
     return v ^ v >> 16, nxt
@@ -219,22 +207,18 @@ def spawned_draws(seed: int, n: int, k: int) -> np.ndarray:
     """(n, k) uint64 words: row i is PCG64(SeedSequence(seed).spawn(n)[i]).random_raw(k)
     bit for bit, for all rows at once, and does not depend on n.  The steps
     follow NumPy's mix_entropy, generate_state and PCG64 seeding and output;
-    only the last entropy word, the spawn key i, is an array."""
+    only the last entropy word, the spawn key i, is an array: every child
+    mixes it into the pool of SeedSequence(seed), whose w seed words took
+    16 + 4 * max(0, w - 4) hashes before it."""
     if n > 2**32:  # spawn keys past one uint32 word
         raise ConfigError(f"cannot seed {n} agents (at most 2**32)")
     try:
-        words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
-        words += [0] * (4 - len(words)) + [np.arange(n, dtype=np.uint32)]
-        hc, pool = _INIT_A, []
-        for w in words[:4]:
-            v, hc = _hash(w, hc, _MULT_A)
-            pool.append(v)
-        for src, dst in product(range(4), repeat=2):
-            if src != dst:
-                v, hc = _hash(pool[src], hc, _MULT_A)
-                pool[dst] = _mix(pool[dst], v)
-        for w, dst in product(words[4:], range(4)):
-            v, hc = _hash(w, hc, _MULT_A)
+        pool = np.random.SeedSequence(seed).pool.tolist()
+        words = -(-max(seed.bit_length(), 1) // 32)
+        hc = _INIT_A * pow(_MULT_A, 16 + 4 * max(0, words - 4), 2**32) & _M32
+        key = np.arange(n, dtype=np.uint32)
+        for dst in range(4):
+            v, hc = _hash(key, hc, _MULT_A)
             pool[dst] = _mix(pool[dst], v)
         hc, state = _INIT_B, []
         for j in range(8):
@@ -277,7 +261,7 @@ def initialize(config: SimConfig, draws: np.ndarray | None = None) -> World:
         raise ConfigError(f"cannot initialize {n} agents: {exc}") from exc
     energies = None
     if config.energy is not None:
-        energies = np.full(n, float(config.energy.energy))
+        energies = np.full(n, config.energy.initial)
     return World(config=config, positions=positions, velocities=velocities,
                  params=params, energies=energies)
 

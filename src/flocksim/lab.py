@@ -18,7 +18,8 @@ from itertools import product
 import numpy as np
 
 from .cognition import AdaptationParams, EnergyState
-from .core import AgentParams, CuckerSmaleParams, InteractionParams, agent_params, check_fields
+from .core import (AgentParams, CuckerSmaleParams, InteractionParams, agent_params, check_fields,
+                   schema)
 from .engine import (ConfigError, SimConfig, SimulationNumericsError, Trajectory, World,
                      initialize, spawned_draws, step)
 from .environment import ObstacleSpec, TargetSpec
@@ -158,7 +159,7 @@ def _build_presets() -> dict[str, ScenarioPreset]:
         config=_fig2_config(
             20, 15.0, duration=60.0, params=InteractionParams(delta=2.0, eta=15.0),
             adaptive=True,
-            energy=EnergyState(energy=80.0, initial=80.0, c1=0.15, c2=0.015),
+            energy=EnergyState(initial=80.0, c1=0.15, c2=0.015),
             adaptation=AdaptationParams(delta_min=0.5, delta_max=2.0, eta_min=3.0, eta_max=15.0,
                                         k_delta=0.5, k_eta=0.5, e_th=40.0),
         ),
@@ -268,8 +269,17 @@ def sweep(spec: SweepSpec) -> tuple[list[SweepRow], list[str]]:
     (after a force failure, the same step again without that cell).
 
     Cell order (and therefore row and failure order) is eta-major, then
-    n, then delta, then seed.
+    n, then delta, then seed.  ConfigError, before any cell exists, if the
+    grid needs more bytes than the machine's physical memory.
     """
+    # Bytes held at least: 80 per cell (its grid tuple and list slot) and 24
+    # per ordered pair within a cell (two stacked pair indices, a distance).
+    runs = len(spec.etas) * len(spec.deltas) * spec.seeds
+    need = runs * sum(80 + 24 * n * (n - 1) for n in spec.ns)
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        raise ConfigError(f"cannot hold a sweep of {runs * len(spec.ns)} cells: it needs at "
+                          f"least {need} bytes, the machine has {have}")
     cells = list(product(spec.etas, spec.ns, spec.deltas, range(spec.seeds)))
     stack = _CellStack(cells, spec)
     world = stack.world
@@ -305,29 +315,28 @@ def sweep(spec: SweepSpec) -> tuple[list[SweepRow], list[str]]:
 # Config serialization
 
 
-def _check_keys(d: dict, allowed: set, where: str):
-    if not isinstance(d, dict):
-        raise ConfigError(f"{where}: expected a mapping, got {type(d).__name__}")
-    unknown = set(d) - allowed
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
-
-
-def _read_block(cls, doc, where: str, **copies):
+def _read_block(cls, doc, where: str):
     """``cls`` built from the JSON mapping ``doc``, one key per dataclass field;
     fields with defaults may be left out, and the block checks the values.
-    ``copies`` maps a field the document does not carry to the key whose
-    value it takes (energy's current value is its initial one).
+    In a field that holds config blocks (core.schema) a mapping is read as
+    that block and a list as a tuple of them.
     """
-    fields = [f for f in dataclasses.fields(cls) if f.name not in copies]
-    _check_keys(doc, {f.name for f in fields}, where)
-    kwargs = {}
-    for f in fields:
-        if f.name in doc:
-            kwargs[f.name] = doc[f.name]
-        elif f.default is dataclasses.MISSING:
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where}: expected a mapping, got {type(doc).__name__}")
+    kinds = schema(cls)
+    unknown = set(doc) - set(kinds)
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+    for f in dataclasses.fields(cls):
+        if f.name not in doc and f.default is dataclasses.MISSING:
             raise ConfigError(f"{where}: missing key {f.name!r}")
-    kwargs.update({field: kwargs[key] for field, key in copies.items()})
+    kwargs = dict(doc)
+    for name, value in doc.items():
+        block = kinds[name][1]
+        if block and isinstance(value, dict):
+            kwargs[name] = _read_block(block, value, name)
+        elif block and isinstance(value, list):
+            kwargs[name] = tuple(_read_block(block, b, f"{name}[{k}]") for k, b in enumerate(value))
     try:
         return cls(**kwargs)
     except ValueError as exc:
@@ -345,8 +354,6 @@ _TOP_KEYS = (
 def config_to_dict(cfg: SimConfig) -> dict:
     """JSON-ready mapping; optional blocks appear only when configured."""
     full = dataclasses.asdict(cfg)
-    if cfg.energy is not None:
-        del full["energy"]["energy"]  # not configuration: a run starts at initial
     doc = {key: full[key] for key in _TOP_KEYS if full[key] is not None and full[key] != ()}
     for key in ("params", "obstacles"):  # per-agent blocks and obstacles are lists
         if isinstance(doc.get(key), tuple):
@@ -356,38 +363,7 @@ def config_to_dict(cfg: SimConfig) -> dict:
 
 def config_from_dict(doc: dict) -> SimConfig:
     """Inverse of config_to_dict; unknown keys anywhere are errors."""
-    _check_keys(doc, set(_TOP_KEYS), "config")
-    # Scalars pass through unconverted: SimConfig refuses non-integral
-    # counts, non-finite floats and non-boolean flags instead of coercing.
-    kwargs = {key: doc[key] for key in (
-        "n", "m", "seed", "workers", "dt", "duration", "init_pos_range",
-        "init_vel_range", "cluttered", "adaptive") if key in doc}
-    if "params" in doc:
-        p = doc["params"]
-        if isinstance(p, list):
-            kwargs["params"] = tuple(
-                _read_block(InteractionParams, b, f"params[{k}]") for k, b in enumerate(p)
-            )
-        else:
-            kwargs["params"] = _read_block(InteractionParams, p, "params")
-    if doc.get("target") is not None:
-        kwargs["target"] = _read_block(TargetSpec, doc["target"], "target")
-    if "obstacles" in doc:
-        if not isinstance(doc["obstacles"], list):
-            raise ConfigError(f"obstacles must be a list, got {doc['obstacles']!r}")
-        kwargs["obstacles"] = tuple(
-            _read_block(ObstacleSpec, o, f"obstacles[{k}]")
-            for k, o in enumerate(doc["obstacles"])
-        )
-    if doc.get("energy") is not None:
-        kwargs["energy"] = _read_block(EnergyState, doc["energy"], "energy", energy="initial")
-    for name, cls in (("adaptation", AdaptationParams), ("cucker_smale", CuckerSmaleParams)):
-        if doc.get(name) is not None:
-            kwargs[name] = _read_block(cls, doc[name], name)
-    try:
-        return SimConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    return _read_block(SimConfig, doc, "config")
 
 
 def save_config(cfg: SimConfig, path) -> None:

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from flocksim import SimConfig, preset, save_config
+from flocksim import SimConfig, lab, preset, save_config
 from flocksim.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
 
 
@@ -161,12 +161,17 @@ def test_sweep_bad_spec_exits_1(tmp_path, capsys):
 
 @pytest.mark.parametrize("axis", [{"deltas": [-1.0]}, {"etas": [-0.5]}, {"ns": [1]},
                                   {"breakdown_radius": -5.0},
-                                  # A cell too large to seed (n > 2**32 agent
-                                  # streams); the request fails at once.
-                                  {"ns": [100000000000]}],
+                                  # Grids too large to hold: a cell of 1e11
+                                  # agents, 1e12 seeds; refused at once by size.
+                                  {"ns": [100000000000]}, {"seeds": 1000000000000}],
                          ids=["delta-negative", "eta-negative", "n-below-2",
-                              "breakdown-radius-negative", "n-unallocatable"])
-def test_sweep_bad_axis_exits_1(tmp_path, capsys, axis):
+                              "breakdown-radius-negative", "n-unallocatable",
+                              "seeds-unholdable"])
+def test_sweep_bad_axis_exits_1(tmp_path, capsys, monkeypatch, axis):
+    def no_grid(*axes, **kwargs):  # every case is refused before its grid exists
+        raise AssertionError("grid built")
+
+    monkeypatch.setattr(lab, "product", no_grid)
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"etas": [3.0], "ns": [2], "duration": 1.0, **axis}),
                     encoding="utf-8")

@@ -24,13 +24,13 @@ from flocksim.core import all_neighborhoods
 
 
 def test_energy_state_validation():
-    EnergyState(energy=80.0, initial=80.0)
+    EnergyState(initial=80.0)
     with pytest.raises(ValueError):
-        EnergyState(energy=80.0, initial=80.0, c1=-0.1)
+        EnergyState(initial=80.0, c1=-0.1)
     with pytest.raises(ValueError):
-        EnergyState(energy=80.0, initial=80.0, c2=0.0)
+        EnergyState(initial=80.0, c2=0.0)
     with pytest.raises(ValueError):
-        EnergyState(energy=0.0, initial=0.0)
+        EnergyState(initial=0.0)
 
 
 def test_adaptation_params_validation():

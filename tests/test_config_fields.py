@@ -1,10 +1,13 @@
-"""The one number rule of the config blocks.
+"""The one schema rule of the config blocks.
 
 Each config dataclass checks its own fields in its constructor with
 core.check_fields, which reads each field's annotation: numbers are
 refused unless finite (and integral for int fields) and stored as Python
 int/float; bool fields hold bools; number tuples take lists, tuples and
-1-D arrays.  Fields of any other annotation are checked by their block.
+1-D arrays; a field annotated ``X | None``, ``tuple[X, ...]`` or
+``X | tuple[X, ...]`` holds config blocks X, and a list of them is stored
+as a tuple.  Fields of any other annotation are checked by their block.
+lab reads config files by the same annotations.
 """
 
 import dataclasses
@@ -32,7 +35,7 @@ FIELDS = {
     InteractionParams: dict.fromkeys(
         ("delta", "eta", "alpha", "beta", "radius", "v_max", "t_vmax"), "float"),
     CuckerSmaleParams: dict.fromkeys(("k_gain", "sigma_cs", "gamma"), "float"),
-    EnergyState: dict.fromkeys(("energy", "initial", "c1", "c2"), "float"),
+    EnergyState: dict.fromkeys(("initial", "c1", "c2"), "float"),
     AdaptationParams: dict.fromkeys(
         ("delta_min", "delta_max", "eta_min", "eta_max", "k_delta", "k_eta", "e_th"), "float"),
     TargetSpec: {"position": "tuple[float, ...]", "kappa": "float"},
@@ -49,14 +52,18 @@ FIELDS = {
                 "adaptation": "AdaptationParams | None",
                 "cucker_smale": "CuckerSmaleParams | None", "workers": "int"},
 }
+# The fields of SimConfig that hold config blocks, with the block they hold.
+BLOCKS = {"params": InteractionParams, "target": TargetSpec, "obstacles": ObstacleSpec,
+          "energy": EnergyState, "adaptation": AdaptationParams,
+          "cucker_smale": CuckerSmaleParams}
 # Annotations check_fields handles, and the fields a block checks itself.
-CHECKED = {"int", "float", "bool", "tuple[int, ...]", "tuple[float, ...]"}
-SELF_CHECKED = {SimConfig: {"init_pos_range", "init_vel_range", "params", "target",
-                            "obstacles", "energy", "adaptation", "cucker_smale"}}
+CHECKED = {"int", "float", "bool", "tuple[int, ...]", "tuple[float, ...]",
+           *(FIELDS[SimConfig][name] for name in BLOCKS)}
+SELF_CHECKED = {SimConfig: {"init_pos_range", "init_vel_range"}}
 # The smallest valid arguments of each block.
 BASE = {
     InteractionParams: {}, CuckerSmaleParams: {}, AdaptationParams: {},
-    EnergyState: dict(energy=80.0, initial=80.0),
+    EnergyState: dict(initial=80.0),
     TargetSpec: dict(position=(1.0, 2.0)),
     ObstacleSpec: dict(center=(0.0, 0.0), radius=1.0, detection=2.0),
     SweepSpec: dict(etas=(3.0,), ns=(5,)),
@@ -134,7 +141,7 @@ def test_number_tuples_take_1d_arrays_only(cls, name, kind):
 
 OUT_OF_RANGE = {
     InteractionParams: dict(radius=0.0), CuckerSmaleParams: dict(gamma=-1.0),
-    EnergyState: dict(energy=1.0, initial=0.0), AdaptationParams: dict(delta_min=3.0),
+    EnergyState: dict(initial=0.0), AdaptationParams: dict(delta_min=3.0),
     TargetSpec: dict(position=(1.0,)), ObstacleSpec: dict(radius=0.0),
     SweepSpec: dict(breakdown_radius=0.0), SimConfig: dict(n=1),
 }
@@ -151,3 +158,31 @@ def test_integral_ints_are_stored_as_floats_in_float_fields():
     assert TargetSpec(position=[90, 90]).position == (90.0, 90.0)
     assert SweepSpec(etas=[3], ns=[5.0]).etas == (3.0,)
     assert type(SweepSpec(etas=[3], ns=[5.0]).ns[0]) is int
+
+
+@pytest.mark.parametrize("name", list(BLOCKS))
+def test_block_fields_refuse_what_their_annotation_does_not_name(name):
+    kind, block = FIELDS[SimConfig][name], BLOCKS[name]
+    one = block(**BASE[block])
+    other = TargetSpec(position=(1.0, 2.0)) if block is CuckerSmaleParams else CuckerSmaleParams()
+    bad = [5, "abc", {}, [{}], other, [other], (one, other), np.array([one, one])]
+    if not kind.endswith("| None"):
+        bad.append(None)
+    if kind.startswith("tuple"):
+        bad.append(one)  # one block where a list belongs
+    if "tuple[" not in kind:
+        bad.append([one, one])  # a list where one block belongs
+    for value in bad:
+        with pytest.raises(ConfigError, match=f"{name}: expected"):
+            SimConfig(**{**BASE[SimConfig], name: value})
+
+
+def test_block_lists_are_stored_as_tuples():
+    obstacle = ObstacleSpec(**BASE[ObstacleSpec])
+    cfg = SimConfig(n=2, duration=1.0, params=[InteractionParams(), InteractionParams(eta=5.0)],
+                    cluttered=True, obstacles=[obstacle, obstacle])
+    assert cfg.params == (InteractionParams(), InteractionParams(eta=5.0))
+    assert cfg.obstacles == (obstacle, obstacle)
+    assert type(cfg.params) is tuple and type(cfg.obstacles) is tuple
+    for optional in ("target", "energy", "adaptation", "cucker_smale"):
+        assert getattr(cfg, optional) is None

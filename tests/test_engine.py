@@ -72,7 +72,7 @@ def test_config_basic_bounds():
                 dict(params=5), dict(params=[{}] * 5), dict(params="abcde"),
                 dict(cluttered=True, obstacles=(1,)),
                 dict(cluttered=True, target=(1.0, 1.0)), dict(energy=5.0),
-                dict(adaptive=True, energy=EnergyState(energy=5.0, initial=5.0), adaptation=5),
+                dict(adaptive=True, energy=EnergyState(initial=5.0), adaptation=5),
                 dict(cucker_smale=1)):
         with pytest.raises(ConfigError):
             SimConfig(**{"n": 5, "duration": 1.0, **bad})
@@ -82,7 +82,7 @@ def test_config_basic_bounds():
 
 def test_config_mode_exclusivity():
     target = TargetSpec(position=(10.0, 10.0), kappa=0.5)
-    energy = EnergyState(energy=80.0, initial=80.0)
+    energy = EnergyState(initial=80.0)
     adaptation = AdaptationParams()
     cs = CuckerSmaleParams()
     with pytest.raises(ConfigError):
@@ -185,9 +185,11 @@ def test_initialize_matches_per_agent_generator_uniform():
     # negative bounds, and one scalar (lo, hi) pair.
     ranges = {2: ([(-3.5, 2.0), (4.0, 4.0)], [(-2.5, -0.5), (-1.0, 1.0)]),
               3: ([(0.0, 75.0), (-1e3, -1e-3), (-7.25, -7.25)], (-1.0, 1.0))}
-    # Seeds of one, two, three and four uint32 entropy words.
+    # Seeds of one to four uint32 entropy words, and of five to seven, whose
+    # words past the fourth are mixed into the pool after its cross-mixes.
     cases = [(seed, (2, 17, 300)) for seed in range(4)]
-    cases += [(seed, (2, 1000)) for seed in (2**32, 2**64 + 5, 123456789012345678901234567890)]
+    cases += [(seed, (2, 1000)) for seed in (2**32, 2**64 + 5, 123456789012345678901234567890,
+                                             2**128, 2**130 + 9, 2**200 + 1)]
     for seed, ns in cases:
         for n in ns:
             for m in (2, 3):
@@ -210,7 +212,8 @@ def test_initialize_matches_per_agent_generator_uniform():
 def test_spawned_draws_match_pcg64_random_raw():
     # Each row against the generator it stands for; a row does not depend on
     # how many children were spawned.
-    for seed in (0, 1, 7, 2**32, 2**40 + 3, 2**64 + 5, 123456789012345678901234567890):
+    for seed in (0, 1, 7, 2**32, 2**40 + 3, 2**64 + 5, 123456789012345678901234567890,
+                 2**128, 2**130 + 9, 2**200 + 1):
         for n in (1, 2, 300):
             for k in (4, 6):
                 want = np.array([np.random.PCG64(ss).random_raw(k)
@@ -237,18 +240,22 @@ def test_initialize_refuses_what_it_cannot_seed_or_hold():
 
 
 def test_config_checks_a_shared_block_without_a_table(monkeypatch):
+    # Neither a shared block nor per-agent blocks build the per-agent table;
+    # the per-agent form is checked by its type and length.
     def no_table(params, n):
         raise AssertionError("table built")
 
     monkeypatch.setattr(engine, "agent_params", no_table)
     SimConfig(n=2_000_000, duration=0.1)
-    with pytest.raises(AssertionError):
-        SimConfig(n=2, duration=0.1, params=[InteractionParams()] * 2)
+    cfg = SimConfig(n=2, duration=0.1, params=[InteractionParams()] * 2)
+    assert cfg.params == (InteractionParams(),) * 2
+    with pytest.raises(ConfigError, match="params: need 3"):
+        SimConfig(n=3, duration=0.1, params=[InteractionParams()] * 2)
 
 
 def test_initialize_fills_energies():
     cfg = SimConfig(n=4, duration=1.0,
-                    energy=EnergyState(energy=80.0, initial=80.0))
+                    energy=EnergyState(initial=80.0))
     w = initialize(cfg)
     np.testing.assert_array_equal(w.energies, np.full(4, 80.0))
 
@@ -382,7 +389,7 @@ def test_coincident_pair_events_come_from_edge_flags(m):
 
 def test_negative_energy_event_logged_once_per_agent():
     cfg = SimConfig(n=2, duration=2.0, seed=1,
-                    energy=EnergyState(energy=0.001, initial=0.001))
+                    energy=EnergyState(initial=0.001))
     traj = run(cfg)
     neg = [e for e in traj.events if e.kind == "negative_energy"]
     assert sorted(e.agents[0] for e in neg) == [0, 1]
@@ -438,7 +445,7 @@ def test_adaptive_run_records_offsets_and_energy():
     cfg = SimConfig(
         n=5, duration=2.0, seed=0, adaptive=True,
         params=InteractionParams(delta=2.0, eta=15.0),
-        energy=EnergyState(energy=80.0, initial=80.0),
+        energy=EnergyState(initial=80.0),
         adaptation=AdaptationParams(delta_min=0.5, delta_max=2.0,
                                     eta_min=3.0, eta_max=15.0),
     )
@@ -458,7 +465,7 @@ def test_adaptive_run_records_offsets_and_energy():
 
 def test_energy_tracked_without_adaptation():
     cfg = SimConfig(n=4, duration=1.0, seed=3,
-                    energy=EnergyState(energy=80.0, initial=80.0))
+                    energy=EnergyState(initial=80.0))
     traj = run(cfg)
     assert traj.energies is not None
     assert traj.deltas is None  # offsets stay fixed
@@ -623,7 +630,7 @@ def test_run_reproduces_per_agent_reference_cluttered_adaptive():
     cfg = dataclasses.replace(
         cluttered, n=25, duration=12.0, seed=3, params=adaptive.params, adaptive=True,
         init_pos_range=(10.0, 30.0),
-        energy=EnergyState(energy=4.0, initial=4.0), adaptation=adaptive.adaptation)
+        energy=EnergyState(initial=4.0), adaptation=adaptive.adaptation)
     _assert_run_matches_reference(cfg)
     assert any(e.kind == "negative_energy" for e in run(cfg).events)
 
@@ -639,7 +646,7 @@ def test_run_reproduces_per_agent_reference_heterogeneous_adaptive():
         radius=float(rng.uniform(3.0, 9.0)), v_max=float(rng.uniform(2.0, 6.0)),
         t_vmax=float(rng.uniform(0.5, 2.0))) for i in range(12))
     cfg = dataclasses.replace(preset("adaptive-fig9").config, n=12, duration=15.0, seed=3,
-                              params=params, energy=EnergyState(energy=6.0, initial=6.0))
+                              params=params, energy=EnergyState(initial=6.0))
     _assert_run_matches_reference(cfg)
 
 

@@ -11,11 +11,16 @@ import numpy as np
 import pytest
 
 from flocksim import (
+    AdaptationParams,
     ConfigError,
+    CuckerSmaleParams,
+    EnergyState,
     InteractionParams,
+    ObstacleSpec,
     SimConfig,
     SweepRow,
     SweepSpec,
+    TargetSpec,
     export,
     export_all,
     list_presets,
@@ -156,6 +161,19 @@ def test_sweep_spec_validation():
             SweepSpec(**{"etas": (3.0,), "ns": (5,), **bad})
     assert not SweepSpec(etas=(3.0,), ns=(5,)).has_delta_axis
     assert SweepSpec(etas=(3.0,), ns=(5,), deltas=(0.5, 1.0)).has_delta_axis
+
+
+def test_sweep_refuses_a_grid_it_cannot_hold(monkeypatch):
+    # Refused by size arithmetic before any cell exists: building the grid
+    # fails the test at once instead of filling memory.
+    def no_grid(*axes, **kwargs):
+        raise AssertionError("grid built")
+
+    monkeypatch.setattr(lab, "product", no_grid)
+    for spec in (SweepSpec(etas=(3.0,), ns=(2,), seeds=10**12, duration=0.2),
+                 SweepSpec(etas=(3.0,), ns=(10**11,), duration=0.2)):
+        with pytest.raises(ConfigError, match="cannot hold a sweep"):
+            sweep(spec)
 
 
 def test_sweep_runs_grid_in_order():
@@ -429,6 +447,68 @@ def test_per_agent_params_round_trip():
     assert config_from_dict(doc) == cfg
 
 
+def _differs_from_defaults(block) -> list[str]:
+    """Fields of a config block left at their default value."""
+    return [f.name for f in dataclasses.fields(block)
+            if f.default is not dataclasses.MISSING and getattr(block, f.name) == f.default]
+
+
+def test_every_field_of_every_block_round_trips():
+    per_agent = tuple(InteractionParams(delta=0.5 + k, eta=2.0 + 2 * k, alpha=1.5, beta=1.25,
+                                        radius=12.0 + k, v_max=4.0 + 2 * k, t_vmax=0.75)
+                      for k in range(3))
+    base = dict(n=3, m=3, duration=1.0, dt=0.05, seed=11, workers=2,
+                init_pos_range=((0.0, 6.0), (1.0, 7.0), (-2.0, 4.0)),
+                init_vel_range=(-0.5, 0.5), params=per_agent)
+    navigating = SimConfig(
+        **base, cluttered=True, adaptive=True,
+        target=TargetSpec(position=(20.0, 20.0, 5.0), kappa=0.25),
+        obstacles=(ObstacleSpec(center=(9.0, 9.0, 1.0), radius=1.0, detection=4.0, sigma_o=2.0),
+                   ObstacleSpec(center=(14.0, 12.0, 3.0), radius=1.5, detection=5.0,
+                                sigma_o=2.5)),
+        energy=EnergyState(initial=30.0, c1=0.2, c2=0.02),
+        adaptation=AdaptationParams(delta_min=0.4, delta_max=1.8, eta_min=2.0, eta_max=12.0,
+                                    k_delta=0.6, k_eta=0.7, e_th=25.0))
+    consensus = SimConfig(**base, cucker_smale=CuckerSmaleParams(k_gain=2.0, sigma_cs=0.5,
+                                                                 gamma=0.75))
+    blocks = [navigating, consensus, consensus.cucker_smale, *per_agent, navigating.target,
+              *navigating.obstacles, navigating.energy, navigating.adaptation]
+    assert [_differs_from_defaults(b) for b in blocks[:2]] == [["cucker_smale"], [
+        "cluttered", "adaptive", "target", "obstacles", "energy", "adaptation"]]
+    assert all(_differs_from_defaults(b) == [] for b in blocks[2:])
+    for cfg in (navigating, consensus):
+        again = config_from_dict(json.loads(json.dumps(config_to_dict(cfg))))
+        assert again == cfg
+        a, b = run(cfg), run(again)
+        for name in ("times", "positions", "velocities", "deltas", "etas", "energies"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert (x is None and y is None) or x.tobytes() == y.tobytes(), name
+        assert repr(a.metrics) == repr(b.metrics) and a.events == b.events
+    assert run(navigating).energies[0].tolist() == [30.0] * 3
+
+
+def test_config_errors_name_their_block():
+    doc = config_to_dict(preset("cluttered-fig6").config)
+    doc["params"] = [{"delta": 1.0}, {"delta": -1.0}] + [{}] * 8
+    with pytest.raises(ConfigError, match=r"^params\[1\]: delta and eta"):
+        config_from_dict(doc)
+    doc = config_to_dict(preset("cluttered-fig6").config)
+    doc["obstacles"][0]["radius"] = 0.0
+    with pytest.raises(ConfigError, match=r"^obstacles\[0\]: "):
+        config_from_dict(doc)
+    doc["obstacles"][0] = 5
+    with pytest.raises(ConfigError, match=r"^obstacles\[0\]: expected a mapping"):
+        config_from_dict(doc)
+    doc = config_to_dict(preset("cluttered-fig6").config)
+    doc["target"]["kappa"] = -1.0
+    with pytest.raises(ConfigError, match=r"^target: kappa"):
+        config_from_dict(doc)
+    doc = config_to_dict(preset("adaptive-fig9").config)
+    doc["energy"]["energy"] = 30.0  # a run starts at initial; there is no other energy
+    with pytest.raises(ConfigError, match=r"^energy: unknown keys \['energy'\]"):
+        config_from_dict(doc)
+
+
 def test_sweep_spec_round_trip(tmp_path):
     doc = {"etas": [3.0, 13.0], "ns": [5], "seeds": 2, "duration": 10.0}
     spec = sweep_spec_from_dict(doc)
@@ -465,7 +545,7 @@ def test_trajectory_csv_adaptive_columns(tmp_path):
     cfg = SimConfig(
         n=3, duration=1.0, seed=0, adaptive=True,
         params=InteractionParams(delta=2.0, eta=15.0),
-        energy=EnergyState(energy=80.0, initial=80.0),
+        energy=EnergyState(initial=80.0),
         adaptation=AdaptationParams(),
     )
     traj = run(cfg)
