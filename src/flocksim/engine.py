@@ -61,15 +61,15 @@ class SimulationNumericsError(RuntimeError):
 
 def _normalize_ranges(value, m: int, name: str) -> tuple[tuple[float, float], ...]:
     """Accept (lo, hi) or one (lo, hi) pair per axis of as_number bounds; validate ordering."""
-    try:
-        arr = np.asarray(value, dtype=object)
-    except ValueError as exc:  # nesting NumPy cannot hold
-        raise ConfigError(f"{name}: not numeric: {value!r}") from exc
-    if arr.shape == (2,):
-        arr = np.tile(arr, (m, 1))
-    if arr.shape != (m, 2):
+    def seq(x):
+        return isinstance(x, (list, tuple, range, np.ndarray)) and getattr(x, "ndim", 1) > 0
+
+    def pair(x):
+        return seq(x) and len(x) == 2 and not any(map(seq, x))
+    rows = (value,) * m if pair(value) else value
+    if not (seq(rows) and len(rows) == m and all(map(pair, rows))):
         raise ConfigError(f"{name}: expected (lo, hi) or {m} per-axis pairs")
-    ranges = tuple((as_number(lo, name), as_number(hi, name)) for lo, hi in arr)
+    ranges = tuple((as_number(lo, name), as_number(hi, name)) for lo, hi in rows)
     if not all(math.isfinite(hi - lo) for lo, hi in ranges):  # NaN/inf bound or width
         raise ConfigError(f"{name}: bounds and their width hi - lo must be finite")
     if any(lo > hi for lo, hi in ranges):

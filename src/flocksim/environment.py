@@ -11,7 +11,6 @@ terms to every agent at once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -126,13 +125,15 @@ def add_environment_terms(acc: np.ndarray, positions: np.ndarray,
     acc = np.array(acc, dtype=float)
     if target is not None and target.kappa != 0.0:
         acc = acc + target.kappa * (np.asarray(target.position) - positions)
-    for o in obstacles:
-        to_center = np.asarray(o.center) - positions
+    if obstacles:  # every obstacle's offsets, distances and detections in one pass
+        spec = np.array([(o.detection, o.sigma_o) for o in obstacles])
+        to_center = np.array([o.center for o in obstacles], dtype=float)[:, None] - positions
         dist = _row_norms(to_center)
-        hit = np.flatnonzero(dist <= o.detection)
+        ob, hit = np.nonzero(dist <= spec[:, :1])  # obstacle-major
         if hit.size:  # rho_weight per pair: Python's max, ** and min, in array form
-            d = dist[hit]
-            ratio = (o.detection / np.where(EPS_POS > d, EPS_POS, d)).tolist()
-            w = 1.0 - np.array(list(map(pow, ratio, repeat(o.sigma_o))))
-            acc[hit] = acc[hit] + np.where(w < 0.0, w, 0.0)[:, None] * to_center[hit]
+            d = dist[ob, hit]
+            ratio = (spec[ob, 0] / np.where(EPS_POS > d, EPS_POS, d)).tolist()
+            w = 1.0 - np.array(list(map(pow, ratio, spec[ob, 1].tolist())))
+            # add.at adds in index order, so each agent's pushes in obstacle order.
+            np.add.at(acc, hit, np.where(w < 0.0, w, 0.0)[:, None] * to_center[ob, hit])
     return acc

@@ -313,11 +313,10 @@ def edge_errors(positions: np.ndarray, velocities: np.ndarray, params,
     n, receivers = s.graph.n_nodes, s.graph.receivers
     pos, vel = s.dp - s.w_pos[:, None] * s.dp, s.dv - s.w_vel[:, None] * s.dv
     pos[~s.pos_valid], vel[~s.vel_valid] = 0.0, 0.0
-    rcv_pos, rcv_vel = receivers.compress(s.pos_valid), receivers.compress(s.vel_valid)
-    sum_pos = _segment_sums(rcv_pos, pos.compress(s.pos_valid, axis=0), n)
-    sum_vel = _segment_sums(rcv_vel, vel.compress(s.vel_valid, axis=0), n)
-    cnt_pos = np.bincount(rcv_pos, minlength=n).astype(float)
-    cnt_vel = np.bincount(rcv_vel, minlength=n).astype(float)
+    # bincount sums start at +0.0, never -0.0, so a zeroed guard row changes no bit.
+    sum_pos, sum_vel = _segment_sums(receivers, pos, n), _segment_sums(receivers, vel, n)
+    cnt_pos = np.bincount(receivers, weights=s.pos_valid, minlength=n)
+    cnt_vel = np.bincount(receivers, weights=s.vel_valid, minlength=n)
     with np.errstate(invalid="ignore", divide="ignore"):
         agent_mean_pos = np.where(cnt_pos[:, None] > 0, sum_pos / cnt_pos[:, None], np.nan)
         agent_mean_vel = np.where(cnt_vel[:, None] > 0, sum_vel / cnt_vel[:, None], np.nan)

@@ -315,21 +315,22 @@ def sweep(spec: SweepSpec) -> tuple[list[SweepRow], list[str]]:
 # Config serialization
 
 
-def _read_block(cls, doc, where: str):
+def _read_block(cls, doc, where: str = ""):
     """``cls`` built from the JSON mapping ``doc``, one key per dataclass field;
     fields with defaults may be left out, and the block checks the values.
     In a field that holds config blocks (core.schema) a mapping is read as
-    that block and a list as a tuple of them.
+    that block and a list as a tuple of them; errors start "<where>: " if set.
     """
+    at = f"{where}: " if where else ""
     if not isinstance(doc, dict):
-        raise ConfigError(f"{where}: expected a mapping, got {type(doc).__name__}")
+        raise ConfigError(f"{at}expected a mapping, got {type(doc).__name__}")
     kinds = schema(cls)
     unknown = set(doc) - set(kinds)
     if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+        raise ConfigError(f"{at}unknown keys {sorted(unknown)}")
     for f in dataclasses.fields(cls):
         if f.name not in doc and f.default is dataclasses.MISSING:
-            raise ConfigError(f"{where}: missing key {f.name!r}")
+            raise ConfigError(f"{at}missing key {f.name!r}")
     kwargs = dict(doc)
     for name, value in doc.items():
         block = kinds[name][1]
@@ -340,7 +341,7 @@ def _read_block(cls, doc, where: str):
     try:
         return cls(**kwargs)
     except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+        raise ConfigError(f"{at}{exc}") from exc
 
 
 # Keys of a config document, in the order they are written.
@@ -363,7 +364,7 @@ def config_to_dict(cfg: SimConfig) -> dict:
 
 def config_from_dict(doc: dict) -> SimConfig:
     """Inverse of config_to_dict; unknown keys anywhere are errors."""
-    return _read_block(SimConfig, doc, "config")
+    return _read_block(SimConfig, doc)
 
 
 def save_config(cfg: SimConfig, path) -> None:
@@ -408,46 +409,57 @@ def _csv_stream(target):
         yield target
 
 
-def write_trajectory_csv(traj: Trajectory, path) -> None:
-    """One row per (snapshot, agent): time, id, state, adapted offsets, energy."""
-    m = traj.config.m
-    axes = "xyz"[:m]
-    header = ["t", "agent"]
-    header += [f"p{a}" for a in axes] + [f"v{a}" for a in axes]
-    adaptive = traj.deltas is not None
-    if adaptive:
-        header += ["delta", "eta"]
-    if traj.energies is not None:
-        header += ["energy"]
+# Cells per write; an export holds one chunk's text (2**12: ~1 MB of RSS, 2**15: ~7 MB).
+_CHUNK_CELLS = 4096
+
+
+def _reprs(values: np.ndarray, prefix: str = "") -> np.ndarray:
+    return np.array([f"{prefix}{x!r}" for x in values.tolist()], dtype=object)
+
+
+def _write_rows(path, header: list[str], lead, columns) -> None:
+    """Write ``header`` and, per row r of the 2-D ``columns``, lead(r) then "," + repr(x) per
+    float x: _CHUNK_CELLS cells per write and join, repr once per distinct float64 bit pattern
+    of a chunk (adaptive runs repeat most delta, eta and energy values; bits keep -0.0 and 0.0
+    apart); ``lead`` maps row indices to strings."""
+    size = max(1, _CHUNK_CELLS // sum(c.shape[1] for c in columns))
     with _csv_stream(path) as fh:
         fh.write(",".join(header) + "\n")
-        for k, t in enumerate(traj.times.tolist()):
-            cols = [traj.positions[k], traj.velocities[k]]
-            if adaptive:
-                cols += [traj.deltas[k, :, None], traj.etas[k, :, None]]
-            if traj.energies is not None:
-                cols.append(traj.energies[k, :, None])
-            # tolist() gives Python floats, whose repr is the shortest
-            # round-tripping form; a list's repr joins its items' reprs with ", ".
-            fh.write("".join(repr(t) + f",{i}," + repr(row)[1:-1].replace(", ", ",") + "\n"
-                             for i, row in enumerate(np.hstack(cols).tolist())))
+        for lo in range(0, columns[0].shape[0], size):
+            block = np.concatenate([c[lo:lo + size] for c in columns], axis=1, dtype=float)
+            bits, inv = np.unique(block.view(np.uint64), return_inverse=True)
+            cells = np.full((block.shape[0], block.shape[1] + 2), "\n", dtype=object)
+            cells[:, 0] = lead(np.arange(lo, lo + block.shape[0]))
+            cells[:, 1:-1] = _reprs(bits.view(np.float64), ",")[inv.reshape(block.shape)]
+            fh.write("".join(cells.reshape(-1).tolist()))
+
+
+def write_trajectory_csv(traj: Trajectory, path) -> None:
+    """One row per (snapshot, agent): time, id, state, adapted offsets, energy;
+    repr(t) runs once per snapshot of a chunk, and the id fields once."""
+    s, n, m = traj.positions.shape
+    extra = [(name, x) for name, x in (("delta", traj.deltas), ("eta", traj.etas),
+                                       ("energy", traj.energies)) if x is not None]
+    ids = _reprs(np.arange(n), ",")
+
+    def lead(rows):
+        k = rows // n
+        return _reprs(traj.times[k[0]:k[-1] + 1])[k - k[0]] + ids[rows % n]
+
+    _write_rows(path, ["t", "agent", *(f"{q}{a}" for q in "pv" for a in "xyz"[:m]),
+                       *(name for name, _ in extra)], lead,
+                [traj.positions.reshape(s * n, m), traj.velocities.reshape(s * n, m),
+                 *(x.reshape(s * n, 1) for _, x in extra)])
 
 
 def write_metrics_csv(traj: Trajectory, path) -> None:
     """One row per snapshot with the full MetricSample."""
-    m = traj.config.m
-    axes = "xyz"[:m]
-    header = ["t", "h", "r_agg", "d_avg", "d_min"]
-    header += [f"edge_pos_err_{a}" for a in axes]
-    header += [f"edge_vel_err_{a}" for a in axes]
-    block = np.hstack([
-        [[s.time, s.h, s.r_agg, s.d_avg, s.d_min] for s in traj.metrics],
-        [s.mean_edge_pos_err for s in traj.metrics],
-        [s.mean_edge_vel_err for s in traj.metrics],
-    ])
-    with _csv_stream(path) as fh:
-        fh.write(",".join(header) + "\n")
-        fh.write("".join(",".join(map(repr, row)) + "\n" for row in block.tolist()))
+    header = ["t", "h", "r_agg", "d_avg", "d_min",
+              *(f"edge_{q}_err_{a}" for q in ("pos", "vel") for a in "xyz"[:traj.config.m])]
+    block = np.hstack([[[s.time, s.h, s.r_agg, s.d_avg, s.d_min] for s in traj.metrics],
+                       [s.mean_edge_pos_err for s in traj.metrics],
+                       [s.mean_edge_vel_err for s in traj.metrics]]).reshape(-1, len(header))
+    _write_rows(path, header, lambda rows: _reprs(block[rows, 0]), [block[:, 1:]])
 
 
 def write_sweep_csv(rows: list[SweepRow], path, include_delta: bool = False) -> None:

@@ -2,7 +2,8 @@
 
 All functions are pure snapshot statistics; NaN is the sentinel for
 metrics that are undefined on a snapshot (e.g. alignment with fewer
-than two moving agents).
+than two moving agents).  Means and row norms call np.add.reduce: the
+arithmetic of np.mean and np.linalg.norm(axis=1), without their wrappers.
 """
 
 from __future__ import annotations
@@ -43,13 +44,13 @@ def alignment_score(velocities: np.ndarray) -> float:
     v = np.asarray(velocities, dtype=float)
     if v.ndim != 2 or v.shape[0] < 2:
         raise ValueError("need a (n >= 2, m) velocity array")
-    speeds = np.linalg.norm(v, axis=1)
+    speeds = np.sqrt(np.add.reduce(v * v, axis=1))
     moving = speeds >= EPS_VEL
     k = int(np.count_nonzero(moving))
     if k < 2:
         return float("nan")
     u = v[moving] / speeds[moving, None]
-    total = u.sum(axis=0)
+    total = np.add.reduce(u, axis=0)
     # Sum of cos over ordered pairs is ||sum u||^2 - k; halve for unordered.
     pair_sum = 0.5 * (float(total @ total) - k)
     return pair_sum / (k * (k - 1) / 2)
@@ -60,8 +61,8 @@ def aggregation_radius(positions: np.ndarray) -> float:
     p = np.asarray(positions, dtype=float)
     if p.ndim != 2 or p.shape[0] < 1:
         raise ValueError("need a (n >= 1, m) position array")
-    centroid = p.mean(axis=0)
-    return float(np.linalg.norm(p - centroid, axis=1).max())
+    d = p - np.add.reduce(p, axis=0) / p.shape[0]
+    return float(np.sqrt(np.add.reduce(d * d, axis=1)).max())
 
 
 def pair_distances(positions: np.ndarray,
@@ -72,7 +73,7 @@ def pair_distances(positions: np.ndarray,
     if p.ndim != 2 or p.shape[0] < 2:
         raise ValueError("need a (n >= 2, m) position array")
     d = pdist(p) if distances is None else squareform(distances, checks=False)
-    return float(d.mean()), float(d.min())
+    return float(np.add.reduce(d) / d.shape[0]), float(np.minimum.reduce(d))
 
 
 def sample_metrics(time: float, positions: np.ndarray, velocities: np.ndarray,
@@ -86,8 +87,8 @@ def sample_metrics(time: float, positions: np.ndarray, velocities: np.ndarray,
     with np.errstate(invalid="ignore"):
         pos_rows = err.agent_mean_pos[~np.isnan(err.agent_mean_pos).any(axis=1)]
         vel_rows = err.agent_mean_vel[~np.isnan(err.agent_mean_vel).any(axis=1)]
-    mean_pos = pos_rows.mean(axis=0) if pos_rows.size else np.full(m, np.nan)
-    mean_vel = vel_rows.mean(axis=0) if vel_rows.size else np.full(m, np.nan)
+    mean_pos, mean_vel = (np.add.reduce(rows, axis=0) / len(rows) if rows.size
+                          else np.full(m, np.nan) for rows in (pos_rows, vel_rows))
     d_avg, d_min = pair_distances(positions, snapshot.distances)
     return MetricSample(
         time=float(time),

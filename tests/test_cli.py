@@ -38,6 +38,41 @@ def test_validate_bad_config_exits_1(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+# A top-level error prints once after "config error: "; a nested block and
+# the sweep spec keep their own prefix.
+_EXACT_ERRORS = {
+    "too-few-agents": ("validate", {"n": 1, "duration": 1.0}, "need at least two agents"),
+    "unknown-key": ("validate", {"n": 4, "duration": 1.0, "extra": 1}, "unknown keys ['extra']"),
+    "missing-key": ("validate", {"duration": 1.0}, "missing key 'n'"),
+    "not-a-mapping": ("simulate", [4, 1.0], "expected a mapping, got list"),
+    "params-count": ("validate", {"n": 4, "duration": 1.0, "params": [{}, {}]},
+                     "params: need 4 InteractionParams blocks, got 2"),
+    "params-item": ("validate", {"n": 3, "duration": 1.0, "params": [{}, {"delta": -1.0}, {}]},
+                    "params[1]: delta and eta must be non-negative"),
+    "obstacle": ("validate", {"n": 4, "duration": 1.0, "cluttered": True, "obstacles": [
+        {"center": [5.0, 5.0], "radius": 0.0, "detection": 3.0}]},
+        "obstacles[0]: radius and detection must be positive"),
+    "target": ("simulate", {"n": 4, "duration": 1.0, "cluttered": True,
+                            "target": {"position": [9.0, 9.0], "kappa": -1.0}},
+               "target: kappa must be non-negative"),
+    "energy": ("validate", {"n": 4, "duration": 1.0, "adaptive": True,
+                            "energy": {"initial": 80.0, "energy": 3}, "adaptation": {}},
+               "energy: unknown keys ['energy']"),
+    "sweep-spec": ("sweep", {"etas": [3.0], "ns": [2], "extra": 1},
+                   "sweep spec: unknown keys ['extra']"),
+}
+
+
+@pytest.mark.parametrize("command, doc, message", list(_EXACT_ERRORS.values()),
+                         ids=list(_EXACT_ERRORS))
+def test_config_errors_name_each_block_once(tmp_path, capsys, command, doc, message):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main([command, str(path)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: {message}\n" and captured.out == ""
+
+
 def test_validate_missing_file_exits_3(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "nope.json")]) == EXIT_IO
     assert "i/o failure" in capsys.readouterr().err

@@ -130,6 +130,39 @@ def test_config_range_validation():
     assert {type(x) for pair in cfg.init_pos_range for x in pair} == {float}
 
 
+@pytest.mark.parametrize("m, value, message", [
+    # Anything but one pair of two bounds or m such pairs is refused by shape:
+    # ragged nesting, ...
+    (2, ((0.0, 1.0), (0.0,)), "init_pos_range: expected (lo, hi) or 2 per-axis pairs"),
+    (2, ([0.0, 1.0], [0.0, 1.0, 2.0]), "init_pos_range: expected (lo, hi) or 2 per-axis pairs"),
+    (2, (0.0, (1.0, 2.0)), "init_pos_range: expected (lo, hi) or 2 per-axis pairs"),
+    (2, ((0.0, 1.0), (0.0, [1.0])), "init_pos_range: expected (lo, hi) or 2 per-axis pairs"),
+    # ... and equal-length nesting of the wrong shape.
+    (3, ((0.0, 1.0), (0.0, 1.0)), "init_pos_range: expected (lo, hi) or 3 per-axis pairs"),
+    (2, ((0, 1, 2), (0, 1, 2)), "init_pos_range: expected (lo, hi) or 2 per-axis pairs"),
+    (2, (((0, 1), (0, 1)), ((0, 1), (0, 1))),
+     "init_pos_range: expected (lo, hi) or 2 per-axis pairs"),
+    (2, ((), ()), "init_pos_range: expected (lo, hi) or 2 per-axis pairs"),
+    (2, (((), ()), ((), ())), "init_pos_range: expected (lo, hi) or 2 per-axis pairs"),
+    (2, "05", "init_pos_range: expected (lo, hi) or 2 per-axis pairs"),
+    (2, 5.0, "init_pos_range: expected (lo, hi) or 2 per-axis pairs"),
+    (2, (-1e308, 1e308), "init_pos_range: bounds and their width hi - lo must be finite"),
+    (2, ((0.0, 1.0), (2.0, 1.0)), "init_pos_range: ranges must satisfy lo <= hi"),
+])
+def test_config_range_refusal_messages(m, value, message):
+    with pytest.raises(ConfigError) as exc:
+        SimConfig(n=5, m=m, duration=1.0, init_pos_range=value)
+    assert str(exc.value) == message
+
+
+def test_config_ranges_read_arrays_and_mixed_pairs():
+    for value in (np.array([[0, 1], [5, 6]]), ((0, 1), np.array([5.0, 6.0])),
+                  [np.float64(0.0), 1], np.array([0.0, 1.0])):
+        got = SimConfig(n=5, duration=1.0, init_pos_range=value).init_pos_range
+        assert got in (((0.0, 1.0), (5.0, 6.0)), ((0.0, 1.0), (0.0, 1.0)))
+        assert {type(x) for pair in got for x in pair} == {float}
+
+
 def test_config_per_agent_params_length():
     with pytest.raises(ConfigError):
         SimConfig(n=3, duration=1.0, params=(InteractionParams(),) * 2)

@@ -43,6 +43,7 @@ from flocksim.lab import (
     write_sweep_csv,
     write_trajectory_csv,
 )
+from flocksim.metrics import MetricSample
 
 EXPECTED_PRESETS = [
     "adaptive-fig9",
@@ -644,6 +645,77 @@ def test_csv_writers_equal_csv_module_form(tmp_path):
     got = io.StringIO()
     write_sweep_csv(sweep_rows, got, include_delta=True)
     assert got.getvalue() == expected.getvalue()
+
+
+class _RecordingStream(io.StringIO):
+    """A text stream that records the length of every write."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        return super().write(text)
+
+
+def test_csv_writers_chunk_rows_and_special_floats(tmp_path):
+    # Floats that repr must keep apart or print alike (-0.0 beside 0.0, NaN of
+    # either sign, +-inf, the smallest subnormal, the exponent switch points
+    # 1e16 and 1e-05, 1e22, integral floats), drawn so that each value recurs
+    # on both sides of every chunk boundary, in a trajectory and a metric
+    # series of at least three chunks each; csv.writer is the oracle, for a
+    # path and an open stream.  No write holds more than one chunk's rows.
+    special = np.array([-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, 1e16, 1e-05,
+                        1e22, 3.0, -7.0, 0.1, 1e16 - 2.0, 0.30000000000000004])
+    rng = np.random.default_rng(5)
+    n, m = 5, 3
+    snapshots = 3 * lab._CHUNK_CELLS // (4 + 2 * m) + 7  # metric rows: 3 chunks and part of a 4th
+
+    def draw(*shape):
+        return np.where(rng.random(shape) < 0.5, rng.choice(special, shape),
+                        rng.normal(0.0, 10.0, shape))
+
+    times = draw(snapshots)
+    times[:3] = [0.0, -0.0, 0.0]
+    cfg = SimConfig(n=n, m=m, duration=1.0, adaptive=True, energy=EnergyState(initial=80.0),
+                    adaptation=AdaptationParams())
+    traj = engine.Trajectory(
+        config=cfg, times=times, positions=draw(snapshots, n, m),
+        velocities=draw(snapshots, n, m), deltas=draw(snapshots, n), etas=draw(snapshots, n),
+        energies=draw(snapshots, n), metrics=[], events=[])
+    traj.metrics.extend(MetricSample(float(t), *draw(4).tolist(), draw(m), draw(m))
+                        for t in times.tolist())
+    axes = "xyz"
+    rows = [["t", "agent", *(f"p{a}" for a in axes), *(f"v{a}" for a in axes),
+             "delta", "eta", "energy"]]
+    for k, t in enumerate(times.tolist()):
+        for i in range(n):
+            values = [*traj.positions[k, i], *traj.velocities[k, i], traj.deltas[k, i],
+                      traj.etas[k, i], traj.energies[k, i]]
+            rows.append([repr(t), str(i), *(repr(float(v)) for v in values)])
+    metric_rows = [["t", "h", "r_agg", "d_avg", "d_min", *(f"edge_pos_err_{a}" for a in axes),
+                    *(f"edge_vel_err_{a}" for a in axes)]]
+    metric_rows += [[repr(float(v)) for v in (s.time, s.h, s.r_agg, s.d_avg, s.d_min,
+                                              *s.mean_edge_pos_err, *s.mean_edge_vel_err)]
+                    for s in traj.metrics]
+    for writer, want in ((write_trajectory_csv, rows), (write_metrics_csv, metric_rows)):
+        expected = io.StringIO()
+        csv.writer(expected, lineterminator="\n").writerows(want)
+        writer(traj, tmp_path / "out.csv")
+        assert (tmp_path / "out.csv").read_bytes() == expected.getvalue().encode("utf-8")
+        stream = _RecordingStream()
+        writer(traj, stream)
+        assert stream.getvalue() == expected.getvalue()
+        # Header, then one write per chunk of at most _CHUNK_CELLS // width rows.
+        chunk_rows = lab._CHUNK_CELLS // (len(want[0]) - (2 if writer is write_trajectory_csv
+                                                          else 1))
+        lines = expected.getvalue().splitlines(keepends=True)
+        assert stream.sizes[0] == len(lines[0]) and len(stream.sizes) >= 4
+        assert len(stream.sizes) == 1 + -(-(len(lines) - 1) // chunk_rows)
+        assert max(stream.sizes[1:]) <= chunk_rows * max(map(len, lines[1:]))
+    assert {"-0.0", "0.0", "nan", "inf", "-inf", "5e-324", "1e+16", "1e-05", "1e+22"} <= {
+        field for row in rows[1:] for field in row}
 
 
 def test_export_dispatch(tmp_path):

@@ -5,10 +5,12 @@ Hand-computed anchors: three unit headings 120 degrees apart average to
 equilateral triangle has circumradius 1/sqrt(3) = 0.5773502691896258.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist, squareform
 
 from flocksim import (
     InteractionParams,
@@ -18,6 +20,8 @@ from flocksim import (
     pair_distances,
     sample_metrics,
 )
+from flocksim.core import EPS_VEL
+from flocksim.graph import _segment_sums, snapshot_of
 
 
 def _headings(angles):
@@ -130,19 +134,80 @@ def test_sample_metrics_matches_components():
     p = InteractionParams(radius=8.0)
     s = sample_metrics(2.5, pos, vel, [p] * 6)
     assert s.time == 2.5
-    assert s.h == pytest.approx(alignment_score(vel), rel=1e-15)
-    assert s.r_agg == pytest.approx(aggregation_radius(pos), rel=1e-15)
-    d_avg, d_min = pair_distances(pos)
-    assert s.d_avg == pytest.approx(d_avg, rel=1e-15)
-    assert s.d_min == pytest.approx(d_min, rel=1e-15)
+    assert s.h == alignment_score(vel)
+    assert s.r_agg == aggregation_radius(pos)
+    assert (s.d_avg, s.d_min) == pair_distances(pos)
 
     err = edge_errors(pos, vel, [p] * 6)
     rows = err.agent_mean_pos[~np.isnan(err.agent_mean_pos).any(axis=1)]
-    np.testing.assert_allclose(s.mean_edge_pos_err, rows.mean(axis=0),
-                               atol=1e-12)
+    assert s.mean_edge_pos_err.tobytes() == rows.mean(axis=0).tobytes()
     rows_v = err.agent_mean_vel[~np.isnan(err.agent_mean_vel).any(axis=1)]
-    np.testing.assert_allclose(s.mean_edge_vel_err, rows_v.mean(axis=0),
-                               atol=1e-12)
+    assert s.mean_edge_vel_err.tobytes() == rows_v.mean(axis=0).tobytes()
+
+
+def _reference_sample(time, pos, vel, params):
+    """sample_metrics and edge_errors in the np.mean, np.linalg.norm and
+    compress forms they replaced: ((time, h, r_agg, d_avg, d_min, mean pos
+    error, mean vel error), per-agent mean pos error, per-agent mean vel error)."""
+    s = snapshot_of(pos, vel, params)
+    n, m = pos.shape
+    means = []
+    for valid, d, w in ((s.pos_valid, s.dp, s.w_pos), (s.vel_valid, s.dv, s.w_vel)):
+        res = d - w[:, None] * d
+        res[~valid] = 0.0
+        rcv = s.graph.receivers.compress(valid)
+        total = _segment_sums(rcv, res.compress(valid, axis=0), n)
+        count = np.bincount(rcv, minlength=n).astype(float)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            agent = np.where(count[:, None] > 0, total / count[:, None], np.nan)
+        rows = agent[~np.isnan(agent).any(axis=1)]
+        means.append((agent, rows.mean(axis=0) if rows.size else np.full(m, np.nan)))
+    speeds = np.linalg.norm(vel, axis=1)
+    moving = speeds >= EPS_VEL
+    k = int(np.count_nonzero(moving))
+    total = (vel[moving] / speeds[moving, None]).sum(axis=0)
+    h = 0.5 * (float(total @ total) - k) / (k * (k - 1) / 2) if k >= 2 else float("nan")
+    r_agg = float(np.linalg.norm(pos - pos.mean(axis=0), axis=1).max())
+    d = squareform(cdist(pos, pos), checks=False)
+    row = (float(time), h, r_agg, float(d.mean()), float(d.min()), means[0][1], means[1][1])
+    return row, means[0][0], means[1][0]
+
+
+def test_sample_metrics_and_edge_errors_equal_reference_forms():
+    # Bit for bit, on seeded states with coincident pairs, equal velocities,
+    # an isolated agent (a NaN row of per-agent means), per-agent radii and
+    # adapted (per-agent) delta/eta, in 2-D and 3-D.
+    rng = np.random.default_rng(43)
+    seen = {"isolated": 0, "coincident": 0, "equal_vel": 0, "all_nan": 0, "dims": set()}
+    for trial in range(60):
+        n, m = int(rng.integers(3, 16)), 2 + trial % 2
+        pos = rng.uniform(0.0, 6.0, (n, m))
+        vel = rng.uniform(-2.0, 2.0, (n, m))
+        pos[1] = pos[0]
+        vel[2] = vel[1]
+        pos[-1] += 100.0  # isolated: no in-edge
+        if trial % 10 == 0:
+            vel[:] = 0.0  # nobody moves: h is NaN
+        params = [InteractionParams(delta=float(rng.uniform(0.2, 3.0)),
+                                    eta=float(rng.uniform(0.0, 15.0)),
+                                    radius=float(rng.uniform(2.0, 10.0)) if trial % 7 else 0.5)
+                  for _ in range(n)]
+        t = float(rng.uniform(0.0, 30.0))
+        want, want_pos, want_vel = _reference_sample(t, pos, vel, params)
+        got = sample_metrics(t, pos, vel, params)
+        assert np.array(got.mean_edge_pos_err).shape == (m,)
+        for g, w in zip(dataclasses.astuple(got), want):
+            assert np.asarray(g).tobytes() == np.asarray(w).tobytes(), trial
+        err = edge_errors(pos, vel, params)
+        assert err.agent_mean_pos.tobytes() == want_pos.tobytes()
+        assert err.agent_mean_vel.tobytes() == want_vel.tobytes()
+        seen["isolated"] += int(np.isnan(want_pos[-1]).all())
+        seen["coincident"] += int(not snapshot_of(pos, vel, params).pos_valid.all())
+        seen["equal_vel"] += int(not snapshot_of(pos, vel, params).vel_valid.all())
+        seen["all_nan"] += int(np.isnan(want[5]).all())
+        seen["dims"].add(m)
+    assert seen["isolated"] == 60 and seen["coincident"] >= 40 and seen["equal_vel"] >= 40
+    assert seen["all_nan"] >= 5 and seen["dims"] == {2, 3}
 
 
 def test_sample_metrics_no_edges_yields_nan_errors():
