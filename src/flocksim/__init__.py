@@ -23,7 +23,6 @@ from .cognition import (
 from .core import (
     EPS_POS,
     EPS_VEL,
-    AgentState,
     CuckerSmaleParams,
     DegeneratePairError,
     InteractionParams,
@@ -75,7 +74,6 @@ from .lab import (
     ScenarioPreset,
     SweepRow,
     SweepSpec,
-    export,
     export_all,
     list_presets,
     load_config,
@@ -94,7 +92,7 @@ from .metrics import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdaptationParams", "AgentState", "ConfigError", "CuckerSmaleParams",
+    "AdaptationParams", "ConfigError", "CuckerSmaleParams",
     "DegeneratePairError", "EdgeErrors", "EdgeState", "EnergyState",
     "EPS_POS", "EPS_VEL", "InteractionGraph", "InteractionParams",
     "MetricSample", "Neighborhood", "ObstacleSpec", "OracleInapplicableError",
@@ -104,7 +102,7 @@ __all__ = [
     "adaptive_delta", "adaptive_eta", "adaptive_threshold",
     "aggregation_radius", "alignment_score", "apply_adaptation",
     "build_graph", "cucker_smale_acceleration", "detected_obstacles",
-    "edge_errors", "edge_state", "energy_derivative", "export", "export_all",
+    "edge_errors", "edge_state", "energy_derivative", "export_all",
     "extended_acceleration", "global_rhs", "has_spanning_tree", "initialize",
     "interaction_acceleration", "laplacian", "list_presets", "load_config",
     "low_energy_fraction", "lyapunov_monitor", "lyapunov_value",

@@ -119,31 +119,6 @@ class PairNumericsError(FloatingPointError):
 
 
 @dataclass(frozen=True)
-class AgentState:
-    """Position and velocity of a single agent in R^2 or R^3."""
-
-    position: np.ndarray
-    velocity: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.position, dtype=float)
-        v = np.asarray(self.velocity, dtype=float)
-        if p.shape != v.shape or p.ndim != 1 or p.shape[0] not in (2, 3):
-            raise ValueError(
-                f"position/velocity must share shape (2,) or (3,), got "
-                f"{p.shape} and {v.shape}"
-            )
-        if not (np.all(np.isfinite(p)) and np.all(np.isfinite(v))):
-            raise ValueError("agent state must be finite")
-        object.__setattr__(self, "position", p)
-        object.__setattr__(self, "velocity", v)
-
-    @property
-    def dim(self) -> int:
-        return self.position.shape[0]
-
-
-@dataclass(frozen=True)
 class InteractionParams:
     """Per-agent gains of the interaction law.
 

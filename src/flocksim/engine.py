@@ -2,12 +2,12 @@
 
 World.params holds the per-agent gains as one table (core.AgentParams,
 an (n,) column per InteractionParams field) that every stage reads.
-run() builds one graph.Snapshot per snapshot with neighbors(): distances,
-edge list and edge terms for World.params, read by its metrics and by the
-next step; adaptation never changes radii, so it only reweighs it.  A step
-applies, in order: adaptation of the table's delta and eta columns
-(adaptive runs), force assembly (the graph layer's edge kernel, plus
-target and obstacle terms in cluttered runs, or the comparison
+run() builds one graph.Snapshot per snapshot with graph.snapshot_of():
+distances, edge list and edge terms for World.params, read by its metrics
+and by the next step; adaptation never changes radii, so it only reweighs
+it.  A step applies, in order: adaptation of the table's delta and eta
+columns (adaptive runs), force assembly (the graph layer's edge kernel,
+plus target and obstacle terms in cluttered runs, or the comparison
 consensus law over the distance matrix), then integrate(): acceleration
 rate clamp, semi-implicit Euler and velocity saturation; and energy
 integration when an energy block is configured.  Coincident-pair events
@@ -34,7 +34,6 @@ from .cognition import AdaptationParams, EnergyState, apply_adaptation
 from .core import (
     EPS_VEL,
     AgentParams,
-    AgentState,
     ConfigError,
     CuckerSmaleParams,
     InteractionParams,
@@ -169,9 +168,6 @@ class World:
     events: list[Event] = field(default_factory=list)
     _energy_warned: set = field(default_factory=set)
 
-    def agent_state(self, i: int) -> AgentState:
-        return AgentState(self.positions[i].copy(), self.velocities[i].copy())
-
 
 # NumPy's SeedSequence hash constants (uint32) and PCG64's 128-bit multiplier.
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
@@ -266,11 +262,6 @@ def initialize(config: SimConfig, draws: np.ndarray | None = None) -> World:
                  params=params, energies=energies)
 
 
-def neighbors(world: World) -> Snapshot:
-    """The graph.Snapshot of the world's current state and params table."""
-    return snapshot_of(world.positions, world.velocities, world.params)
-
-
 def _forces(world: World, snap: Snapshot) -> np.ndarray:
     cfg = world.config
     cs = cfg.cucker_smale
@@ -320,14 +311,15 @@ def integrate(positions: np.ndarray, velocities: np.ndarray, acc: np.ndarray,
 def step(world: World, snapshot: Snapshot | None = None) -> World:
     """Advance one dt; mutates and returns the same World.
 
-    ``snapshot`` is neighbors(world) if the caller has it (run shares it
-    with the snapshot's metrics; lab.sweep passes one over its cells'
-    candidate pairs).  A non-finite force raises SimulationNumericsError
-    before integration, naming its lowest agent; a non-finite state raises
-    it after the step, naming every such agent.
+    ``snapshot`` is graph.snapshot_of of the world's state and params, if
+    the caller has it (run shares it with the snapshot's metrics; lab.sweep
+    passes one over its cells' candidate pairs).  A non-finite force raises
+    SimulationNumericsError before integration, naming its lowest agent; a
+    non-finite state raises it after the step, naming every such agent.
     """
     cfg = world.config
-    snap = neighbors(world) if snapshot is None else snapshot
+    snap = (snapshot_of(world.positions, world.velocities, world.params)
+            if snapshot is None else snapshot)
 
     if cfg.adaptive:
         world.params = apply_adaptation(world.positions, world.energies, world.params,
@@ -390,12 +382,6 @@ class Trajectory:
     def n_snapshots(self) -> int:
         return self.times.shape[0]
 
-    def agent_states(self, k: int) -> list[AgentState]:
-        return [
-            AgentState(self.positions[k, i].copy(), self.velocities[k, i].copy())
-            for i in range(self.config.n)
-        ]
-
 
 def empty_trajectory(config: SimConfig) -> Trajectory:
     """The Trajectory that run(config) fills: unset arrays for its n_steps + 1
@@ -428,7 +414,7 @@ def run(config: SimConfig) -> Trajectory:
             traj.etas[k] = world.params.eta
         if traj.energies is not None:
             traj.energies[k] = world.energies
-        snap = neighbors(world)
+        snap = snapshot_of(world.positions, world.velocities, world.params)
         traj.metrics.append(metrics_mod.sample_metrics(
             world.time, world.positions, world.velocities, world.params, snap))
         return snap

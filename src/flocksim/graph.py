@@ -423,7 +423,8 @@ def lyapunov_monitor(positions: np.ndarray, velocities: np.ndarray, params) -> d
 
 
 def has_spanning_tree(g: InteractionGraph) -> bool:
-    """True iff one node is reachable from every other along edge directions."""
+    """True iff one node reaches every other along source -> receiver edges,
+    the direction information flows (the in-neighbour Laplacian has rank n - 1)."""
     n = g.n_nodes
     if n == 1:
         return True
@@ -435,10 +436,10 @@ def has_spanning_tree(g: InteractionGraph) -> bool:
     n_comp, labels = connected_components(adj, directed=True, connection="strong")
     if n_comp == 1:
         return True
-    # The condensation is a DAG; a globally reachable root exists iff it
-    # has exactly one sink component.
-    has_out = np.zeros(n_comp, dtype=bool)
+    # The condensation is a DAG; a root that reaches every node exists iff
+    # it has exactly one source component.
+    has_in = np.zeros(n_comp, dtype=bool)
     src_lab = labels[g.sources]
     rcv_lab = labels[g.receivers]
-    has_out[src_lab[src_lab != rcv_lab]] = True
-    return int(np.count_nonzero(~has_out)) == 1
+    has_in[rcv_lab[src_lab != rcv_lab]] = True
+    return int(np.count_nonzero(~has_in)) == 1

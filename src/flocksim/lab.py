@@ -194,7 +194,7 @@ def preset(name: str) -> ScenarioPreset:
 
 
 class _CellStack:
-    """Sweep cells stacked row-wise in runs of equal n, as one World whose
+    """Sweep cells stacked row-wise in grid order, as one World whose
     config has the spec's dt and duration and n equal to its live row
     count: stacked cell k is grid cell ids[k] (its index in ``cells``) and
     owns rows starts[k]:starts[k] + sizes[k] of the world's positions,
@@ -211,17 +211,15 @@ class _CellStack:
                                                   init_pos_range=(0.0, init_upper_for(n))),
                                         draws[seed])
                   for n, seed in product(set(spec.ns), range(spec.seeds))}
-        ids = sorted(range(len(cells)), key=lambda c: cells[c][1])
-        stacked = [cells[c] for c in ids]  # (eta, n, delta, seed)
-        self.ids = np.array(ids, dtype=int)
-        self.sizes = np.array([n for _, n, _, _ in stacked], dtype=int)
+        self.ids = np.arange(len(cells))
+        self.sizes = np.array([n for _, n, _, _ in cells], dtype=int)  # (eta, n, delta, seed)
         self.world = World(
             SimConfig(n=int(self.sizes.sum()), duration=spec.duration, dt=spec.dt),
-            np.concatenate([firsts[n, seed].positions for _, n, _, seed in stacked]),
-            np.concatenate([firsts[n, seed].velocities for _, n, _, seed in stacked]),
+            np.concatenate([firsts[n, seed].positions for _, n, _, seed in cells]),
+            np.concatenate([firsts[n, seed].velocities for _, n, _, seed in cells]),
             AgentParams(*map(np.concatenate, zip(*(
                 agent_params(InteractionParams(delta=delta, eta=eta), n)
-                for eta, n, delta, _ in stacked)))), None)
+                for eta, n, delta, _ in cells)))), None)
         self._index()
 
     def _index(self):
@@ -259,7 +257,7 @@ def sweep(spec: SweepSpec) -> tuple[list[SweepRow], list[str]]:
 
     Every cell starts from engine.initialize of its n and seed (one raw
     draw per seed), with its own delta and eta; then all cells, which share
-    dt and duration, advance in lockstep as one World stacked by n.  Each
+    dt and duration, advance in lockstep as one World in grid order.  Each
     snapshot is the graph.Snapshot over the stack's candidate pairs (the
     distinct pairs within each cell; a cell's minimum pair distance reduces
     its segment), and engine.step advances the stack on it as on a single
@@ -481,27 +479,12 @@ def write_sweep_csv(rows: list[SweepRow], path, include_delta: bool = False) -> 
             fh.write(",".join(row) + "\n")
 
 
-def export(traj: Trajectory, format: str, path) -> str:
-    """Write one artifact of a finished run: trajectory, metrics, or config."""
-    if format == "trajectory":
-        write_trajectory_csv(traj, path)
-    elif format == "metrics":
-        write_metrics_csv(traj, path)
-    elif format == "config":
-        save_config(traj.config, path)
-    else:
-        raise ConfigError(
-            f"unknown export format {format!r}; use trajectory, metrics, or config"
-        )
-    return str(path)
-
-
 def export_all(traj: Trajectory, out_dir) -> dict[str, str]:
-    """Write the three standard artifacts into a directory."""
+    """Write the three standard artifacts into a directory; returns their paths."""
     os.makedirs(out_dir, exist_ok=True)
-    paths = {}
-    for fmt, fname in (("trajectory", "trajectory.csv"),
-                       ("metrics", "metrics.csv"),
-                       ("config", "config.json")):
-        paths[fmt] = export(traj, fmt, os.path.join(out_dir, fname))
+    paths = {key: os.path.join(out_dir, name) for key, name in (
+        ("trajectory", "trajectory.csv"), ("metrics", "metrics.csv"), ("config", "config.json"))}
+    write_trajectory_csv(traj, paths["trajectory"])
+    write_metrics_csv(traj, paths["metrics"])
+    save_config(traj.config, paths["config"])
     return paths

@@ -96,6 +96,20 @@ def test_simulate_config_file(tmp_path, capsys):
     assert "3 agents" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("doc, line", [
+    # Two agents started on the same point.
+    ({"n": 2, "duration": 1.0, "init_pos_range": [5.0, 5.0]}, "events: coincident_pairx1"),
+    # Every agent drains its small energy reserve below zero.
+    ({"n": 4, "duration": 3.0, "adaptive": True, "energy": {"initial": 0.2},
+      "adaptation": {}}, "events: negative_energyx4"),
+])
+def test_simulate_prints_event_counts(tmp_path, capsys, doc, line):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["simulate", str(path)]) == EXIT_OK
+    assert line in capsys.readouterr().out.splitlines()
+
+
 def test_simulate_unknown_scenario_exits_1(capsys):
     assert main(["simulate", "not-a-preset"]) == EXIT_CONFIG
     err = capsys.readouterr().err

@@ -13,7 +13,6 @@ import pytest
 from flocksim import (
     EPS_POS,
     EPS_VEL,
-    AgentState,
     CuckerSmaleParams,
     DegeneratePairError,
     InteractionParams,
@@ -68,26 +67,6 @@ def _guard_free_config(rng, n, m):
 
 # ---------------------------------------------------------------------------
 # Types
-
-
-def test_agent_state_validates_shape_and_finiteness():
-    AgentState(np.array([0.0, 1.0]), np.array([1.0, 2.0]))
-    AgentState(np.array([0.0, 1.0, 2.0]), np.array([1.0, 2.0, 3.0]))
-    with pytest.raises(ValueError):
-        AgentState(np.array([0.0]), np.array([1.0]))
-    with pytest.raises(ValueError):
-        AgentState(np.array([0.0, 1.0]), np.array([1.0, 2.0, 3.0]))
-    with pytest.raises(ValueError):
-        AgentState(np.array([[0.0, 1.0]]), np.array([[1.0, 2.0]]))
-    with pytest.raises(ValueError):
-        AgentState(np.array([np.nan, 1.0]), np.array([1.0, 2.0]))
-    with pytest.raises(ValueError):
-        AgentState(np.array([0.0, 1.0]), np.array([np.inf, 2.0]))
-
-
-def test_agent_state_dim():
-    assert AgentState(np.zeros(2), np.zeros(2)).dim == 2
-    assert AgentState(np.zeros(3), np.zeros(3)).dim == 3
 
 
 def test_interaction_params_defaults():

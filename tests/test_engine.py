@@ -293,13 +293,6 @@ def test_initialize_fills_energies():
     np.testing.assert_array_equal(w.energies, np.full(4, 80.0))
 
 
-def test_agent_state_accessor_copies():
-    w = initialize(SimConfig(n=3, duration=1.0))
-    state = w.agent_state(1)
-    state.position[0] = 999.0
-    assert w.positions[1, 0] != 999.0
-
-
 # ---------------------------------------------------------------------------
 # Stepping semantics
 
@@ -469,9 +462,6 @@ def test_trajectory_shapes_and_times():
     np.testing.assert_allclose(traj.times, np.arange(21) * 0.1, atol=1e-12)
     assert len(traj.metrics) == 21
     assert traj.deltas is None and traj.etas is None and traj.energies is None
-    states = traj.agent_states(0)
-    assert len(states) == 6
-    np.testing.assert_array_equal(states[2].position, traj.positions[0, 2])
 
 
 def test_adaptive_run_records_offsets_and_energy():

@@ -790,10 +790,32 @@ def test_has_spanning_tree_cases():
         return [InteractionParams(radius=x) for x in r]
 
     assert has_spanning_tree(build_graph(pos, radii(2.5, 2.5, 2.5)))
-    # Blind middle agent: two unreachable sinks.
-    assert not has_spanning_tree(build_graph(pos, radii(2.5, 0.1, 2.5)))
+    # Blind middle agent: edges 1 -> 0 and 1 -> 2, both outer agents follow it.
+    assert has_spanning_tree(build_graph(pos, radii(2.5, 0.1, 2.5)))
     # Blind left agent: the right pair is still reachable from everyone.
     assert has_spanning_tree(build_graph(pos, radii(0.1, 2.5, 2.5)))
     # No edges at all.
     iso = np.array([[0.0, 0.0], [100.0, 0.0]])
     assert not has_spanning_tree(build_graph(iso, radii(1.0, 1.0)))
+
+
+def test_has_spanning_tree_matches_laplacian_rank():
+    # A root reaches every agent along source -> receiver edges iff the
+    # in-neighbour Laplacian (L_ii = |N_i|, L_ij = -1 for j in N_i) has rank n - 1.
+    rng = np.random.default_rng(15)
+    outcomes, one_way = set(), 0
+    for k in range(600):
+        n, m = (1, 2) if k == 0 else (int(rng.integers(2, 9)), 2 + k % 2)
+        pos = rng.uniform(0.0, 6.0, (n, m)) * (100.0 if k % 50 == 1 else 1.0)
+        g = build_graph(pos, [InteractionParams(radius=r) for r in rng.uniform(0.5, 4.0, n)])
+        lap = np.zeros((n, n))
+        np.add.at(lap, (g.receivers, g.sources), -1.0)
+        lap[np.diag_indices(n)] = g.in_degrees()
+        want = np.linalg.matrix_rank(lap) == n - 1
+        assert has_spanning_tree(g) == want, (n, g.edges)
+        outcomes.add((want, g.n_edges == 0))
+        one_way += set(g.edges) != {(j, i) for i, j in g.edges}
+    # Both answers occur with and without edges (n = 1 is the rooted edgeless
+    # graph), and most graphs have one-way edges.
+    assert outcomes == {(True, True), (False, True), (True, False), (False, False)}
+    assert one_way > 300

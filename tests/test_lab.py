@@ -21,7 +21,6 @@ from flocksim import (
     SweepRow,
     SweepSpec,
     TargetSpec,
-    export,
     export_all,
     list_presets,
     load_config,
@@ -716,14 +715,6 @@ def test_csv_writers_chunk_rows_and_special_floats(tmp_path):
         assert max(stream.sizes[1:]) <= chunk_rows * max(map(len, lines[1:]))
     assert {"-0.0", "0.0", "nan", "inf", "-inf", "5e-324", "1e+16", "1e-05", "1e+22"} <= {
         field for row in rows[1:] for field in row}
-
-
-def test_export_dispatch(tmp_path):
-    traj = run(SimConfig(n=2, duration=1.0, seed=0))
-    out = export(traj, "metrics", tmp_path / "m.csv")
-    assert (tmp_path / "m.csv").exists() and out.endswith("m.csv")
-    with pytest.raises(ConfigError):
-        export(traj, "parquet", tmp_path / "x")
 
 
 def test_export_all_writes_three_files(tmp_path):
