@@ -16,6 +16,7 @@ from scipy.spatial.distance import cdist
 from flocksim import (
     EPS_POS,
     EPS_VEL,
+    InteractionGraph,
     InteractionParams,
     OracleInapplicableError,
     PairNumericsError,
@@ -799,19 +800,24 @@ def test_has_spanning_tree_cases():
     assert not has_spanning_tree(build_graph(iso, radii(1.0, 1.0)))
 
 
+def _rooted_by_laplacian_rank(g) -> bool:
+    """A root reaches every agent along source -> receiver edges iff the
+    in-neighbour Laplacian (L_ii = |N_i|, L_ij = -1 for j in N_i) has rank n - 1."""
+    n = g.n_nodes
+    lap = np.zeros((n, n))
+    np.add.at(lap, (g.receivers, g.sources), -1.0)
+    lap[np.diag_indices(n)] = g.in_degrees()
+    return np.linalg.matrix_rank(lap) == n - 1
+
+
 def test_has_spanning_tree_matches_laplacian_rank():
-    # A root reaches every agent along source -> receiver edges iff the
-    # in-neighbour Laplacian (L_ii = |N_i|, L_ij = -1 for j in N_i) has rank n - 1.
     rng = np.random.default_rng(15)
     outcomes, one_way = set(), 0
     for k in range(600):
         n, m = (1, 2) if k == 0 else (int(rng.integers(2, 9)), 2 + k % 2)
         pos = rng.uniform(0.0, 6.0, (n, m)) * (100.0 if k % 50 == 1 else 1.0)
         g = build_graph(pos, [InteractionParams(radius=r) for r in rng.uniform(0.5, 4.0, n)])
-        lap = np.zeros((n, n))
-        np.add.at(lap, (g.receivers, g.sources), -1.0)
-        lap[np.diag_indices(n)] = g.in_degrees()
-        want = np.linalg.matrix_rank(lap) == n - 1
+        want = _rooted_by_laplacian_rank(g)
         assert has_spanning_tree(g) == want, (n, g.edges)
         outcomes.add((want, g.n_edges == 0))
         one_way += set(g.edges) != {(j, i) for i, j in g.edges}
@@ -819,3 +825,38 @@ def test_has_spanning_tree_matches_laplacian_rank():
     # graph), and most graphs have one-way edges.
     assert outcomes == {(True, True), (False, True), (True, False), (False, False)}
     assert one_way > 300
+
+
+def _edge_list_graph(n: int, edges) -> InteractionGraph:
+    """The graph of (source, receiver) pairs, sorted by (receiver, source)."""
+    src, rcv = np.array(sorted(edges, key=lambda e: (e[1], e[0])), dtype=int).reshape(-1, 2).T
+    return InteractionGraph(n, src, rcv)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 64])
+def test_has_spanning_tree_on_long_paths_and_cycles(n):
+    # A directed path's far end is bit_length(n - 1) doublings of reach from
+    # its root, the most any n-node graph needs.
+    path = [(i, i + 1) for i in range(n - 1)]
+    cycle = path + [(n - 1, 0)] * (n > 1)
+    for g in (_edge_list_graph(n, path), _edge_list_graph(n, cycle)):
+        assert _rooted_by_laplacian_rank(g)
+        assert has_spanning_tree(g)
+    if n >= 3:  # one reversed edge leaves two roots, 0 and k + 1
+        k = n // 2
+        g = _edge_list_graph(n, path[:k] + [(k + 1, k)] + path[k + 1:])
+        assert not _rooted_by_laplacian_rank(g)
+        assert not has_spanning_tree(g)
+
+
+def test_has_spanning_tree_matches_laplacian_rank_3d_near_60_agents():
+    rng = np.random.default_rng(61)
+    outcomes = set()
+    for _ in range(24):
+        n = int(rng.integers(56, 65))
+        pos = rng.uniform(0.0, 10.0, (n, 3))
+        g = build_graph(pos, [InteractionParams(radius=r) for r in rng.uniform(2.0, 6.0, n)])
+        want = _rooted_by_laplacian_rank(g)
+        assert has_spanning_tree(g) == want, n
+        outcomes.add(want)
+    assert outcomes == {True, False}
