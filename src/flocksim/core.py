@@ -128,7 +128,7 @@ class InteractionParams:
     beta    exponent of the alignment weight
     radius  neighborhood radius r_i (m)
     v_max   speed ceiling applied by the saturation map (m/s)
-    t_vmax  time to reach v_max from rest; sets the rate limit (s)
+    t_vmax  time to reach v_max from rest; the rate limit is v_max / t_vmax (s)
     """
 
     delta: float = 1.0
@@ -149,11 +149,6 @@ class InteractionParams:
             raise ConfigError("radius must be positive")
         if self.v_max <= 0 or self.t_vmax <= 0:
             raise ConfigError("v_max and t_vmax must be positive")
-
-    @property
-    def s(self) -> float:
-        """Acceleration ceiling v_max / t_vmax (m/s^2)."""
-        return self.v_max / self.t_vmax
 
 
 AgentParams = namedtuple("AgentParams", [f.name for f in fields(InteractionParams)])
@@ -217,22 +212,14 @@ def neighborhood(i: int, positions: np.ndarray, radius: float) -> Neighborhood:
 
 
 def all_neighborhoods(positions: np.ndarray, radii) -> list[Neighborhood]:
-    """Neighborhoods of every agent in one pass.
+    """neighborhood(i, positions, r_i) of every agent i.
 
     ``radii`` is a scalar or per-agent sequence.  Neighborhoods are
     directed when radii differ between agents.
     """
     positions = np.asarray(positions, dtype=float)
-    n = positions.shape[0]
-    radii_arr = np.broadcast_to(np.asarray(radii, dtype=float), (n,))
-    diff = positions[:, None, :] - positions[None, :, :]
-    distances = np.linalg.norm(diff, axis=2)
-    out = []
-    for i in range(n):
-        mask = distances[i] <= radii_arr[i]
-        mask[i] = False
-        out.append(Neighborhood(tuple(np.nonzero(mask)[0].tolist())))
-    return out
+    radii = np.broadcast_to(np.asarray(radii, dtype=float), positions.shape[:1]).tolist()
+    return [neighborhood(i, positions, r) for i, r in enumerate(radii)]
 
 
 def psi_weight(distance: float, delta: float, count: int, alpha: float) -> float:

@@ -10,7 +10,9 @@ columns (adaptive runs), force assembly (the graph layer's edge kernel,
 plus target and obstacle terms in cluttered runs, or the comparison
 consensus law over the distance matrix), then integrate(): acceleration
 rate clamp, semi-implicit Euler and velocity saturation; and energy
-integration when an energy block is configured.  Coincident-pair events
+integration when an energy block is configured, with a negative_energy
+event in the step an agent's energy drops below zero (energy only falls,
+so once per agent).  Coincident-pair events
 come from the snapshot's edge flags, so lab.sweep's stacked cells, one
 World whose snapshot covers only pairs within a cell, take the same
 step().  Each stage reproduces the per-agent functions bit for bit.
@@ -166,7 +168,6 @@ class World:
     time: float = 0.0
     step_index: int = 0
     events: list[Event] = field(default_factory=list)
-    _energy_warned: set = field(default_factory=set)
 
 
 # NumPy's SeedSequence hash constants (uint32) and PCG64's 128-bit multiplier.
@@ -344,11 +345,11 @@ def step(world: World, snapshot: Snapshot | None = None) -> World:
 
     if world.energies is not None:
         e = world.config.energy
-        # energy_derivative per agent: -c1 * ||a||^2 - c2.
+        # energy_derivative per agent: -c1 * ||a||^2 - c2 < 0 (EnergyState has c2 > 0), so an
+        # energy crosses zero at most once, and the step that crosses it warns.
+        charged = world.energies >= 0
         world.energies += cfg.dt * (-e.c1 * np.vecdot(acc, acc) - e.c2)
-        fresh = set(np.flatnonzero(world.energies < 0).tolist()) - world._energy_warned
-        for i in sorted(fresh):
-            world._energy_warned.add(i)
+        for i in np.flatnonzero(charged & (world.energies < 0)).tolist():
             world.events.append(Event(
                 step=world.step_index + 1, time=world.time + cfg.dt,
                 kind="negative_energy", agents=(i,),

@@ -85,9 +85,8 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class ScenarioPreset:
-    """Named, fully specified scenario; sweep grids attach where relevant."""
+    """Fully specified scenario, keyed by its name; sweep grids attach where relevant."""
 
-    name: str
     config: SimConfig
     note: str
     sweep: SweepSpec | None = None
@@ -105,12 +104,10 @@ def _build_presets() -> dict[str, ScenarioPreset]:
     presets = {}
 
     presets["flocking-fig2a"] = ScenarioPreset(
-        name="flocking-fig2a",
         config=_fig2_config(15, 3.0),
         note="15 agents, kinetic offset 3: ordered flocking regime",
     )
     presets["vortexing-fig2b"] = ScenarioPreset(
-        name="vortexing-fig2b",
         # Seed chosen so the default run settles into the rotating-ring
         # attractor within 30 s; some seeds stay in irregular transients
         # much longer.
@@ -118,12 +115,10 @@ def _build_presets() -> dict[str, ScenarioPreset]:
         note="5 agents, kinetic offset 6: rotation about a common center",
     )
     presets["swarming-fig2c"] = ScenarioPreset(
-        name="swarming-fig2c",
         config=_fig2_config(15, 12.0),
         note="15 agents, kinetic offset 12: cohesive but disordered swarm",
     )
     presets["phase-fig5"] = ScenarioPreset(
-        name="phase-fig5",
         config=_fig2_config(50, 3.0, init_pos_range=(0.0, init_upper_for(50))),
         note=(
             "representative cell of the alignment phase diagram; the "
@@ -134,7 +129,6 @@ def _build_presets() -> dict[str, ScenarioPreset]:
         sweep=SweepSpec(etas=tuple(float(e) for e in range(34)), ns=(2, 3, 5, 10, 50, 100)),
     )
     presets["spatial-fig7"] = ScenarioPreset(
-        name="spatial-fig7",
         config=_fig2_config(100, 3.0, init_pos_range=(0.0, init_upper_for(100))),
         note=(
             "100 agents, spacing-offset sweep crossed with ordered "
@@ -144,7 +138,6 @@ def _build_presets() -> dict[str, ScenarioPreset]:
         sweep=SweepSpec(etas=(3.0, 21.0), ns=(100,), deltas=(0.5, 1.0, 1.5, 2.0)),
     )
     presets["cluttered-fig6"] = ScenarioPreset(
-        name="cluttered-fig6",
         config=_fig2_config(
             10, 0.5, duration=40.0, cluttered=True,
             target=TargetSpec(position=(90.0, 90.0), kappa=0.5),
@@ -155,7 +148,6 @@ def _build_presets() -> dict[str, ScenarioPreset]:
              "toward a target at (90, 90)",
     )
     presets["adaptive-fig9"] = ScenarioPreset(
-        name="adaptive-fig9",
         config=_fig2_config(
             20, 15.0, duration=60.0, params=InteractionParams(delta=2.0, eta=15.0),
             adaptive=True,
@@ -168,7 +160,6 @@ def _build_presets() -> dict[str, ScenarioPreset]:
              "past the threshold",
     )
     presets["cucker-smale-baseline"] = ScenarioPreset(
-        name="cucker-smale-baseline",
         config=_fig2_config(10, 3.0, cucker_smale=CuckerSmaleParams(k_gain=1.0, sigma_cs=1.0,
                                                                      gamma=0.5)),
         note="globally coupled velocity-consensus comparison law; no "

@@ -97,11 +97,6 @@ def test_interaction_params_validation(bad):
         InteractionParams(**bad)
 
 
-def test_interaction_params_accel_ceiling():
-    assert InteractionParams(v_max=5.0, t_vmax=2.0).s == pytest.approx(2.5)
-    assert InteractionParams(v_max=3.0, t_vmax=1.0).s == pytest.approx(3.0)
-
-
 def test_agent_params_table():
     one = InteractionParams(delta=0.5, eta=2.0, radius=4.0, v_max=3.0)
     shared = agent_params(one, 3)

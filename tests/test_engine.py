@@ -548,11 +548,13 @@ def test_time_step_refinement_is_consistent():
 # Per-agent reference stepper
 
 
-def _reference_step(world, params):
+def _reference_step(world, params, warned):
     """One step as the engine took it before the edge-list kernel: one call
     of the per-agent core, environment and cognition functions per agent.
     ``params`` is the reference's own list of per-agent blocks (world.params,
-    the engine's table, is not read); returns the list for the next step."""
+    the engine's table, is not read); returns the list for the next step.
+    ``warned`` is the reference's own set of agents already warned of a
+    negative energy; it is updated in place."""
     cfg = world.config
     n = cfg.n
     nbrs = all_neighborhoods(world.positions, [p.radius for p in params])
@@ -583,7 +585,7 @@ def _reference_step(world, params):
             acc[i] = interaction_acceleration(i, world.positions, world.velocities,
                                               params[i], nbrs=nbrs[i])
     for i in range(n):
-        acc[i] = rate_limit(acc[i], params[i].s)
+        acc[i] = rate_limit(acc[i], params[i].v_max / params[i].t_vmax)
     world.velocities = world.velocities + acc * cfg.dt
     world.positions = world.positions + world.velocities * cfg.dt
     for i in range(n):
@@ -594,8 +596,8 @@ def _reference_step(world, params):
         for i in range(n):
             world.energies[i] += cfg.dt * energy_derivative(acc[i], e.c1, e.c2)
         for i in np.nonzero(world.energies < 0)[0]:
-            if int(i) not in world._energy_warned:
-                world._energy_warned.add(int(i))
+            if int(i) not in warned:
+                warned.add(int(i))
                 world.events.append(Event(
                     step=world.step_index + 1, time=world.time + cfg.dt,
                     kind="negative_energy", agents=(int(i),),
@@ -608,11 +610,11 @@ def _reference_step(world, params):
 def _reference_run(config):
     """Snapshots of a run stepped by _reference_step, with standalone metrics."""
     world = initialize(config)
-    params = config.params_list()
+    params, warned = config.params_list(), set()
     snaps = []
     for k in range(config.n_steps + 1):
         if k:
-            params = _reference_step(world, params)
+            params = _reference_step(world, params, warned)
         snaps.append((world.positions.copy(), world.velocities.copy(),
                       [(p.delta, p.eta) for p in params],
                       None if world.energies is None else world.energies.copy(),
@@ -700,7 +702,7 @@ def test_step_alone_reproduces_per_agent_reference():
             w.velocities *= 3.0
         for _ in range(5):
             step(a)
-            plist = _reference_step(b, plist)
+            plist = _reference_step(b, plist, set())
             assert a.positions.tobytes() == b.positions.tobytes()
             assert a.velocities.tobytes() == b.velocities.tobytes()
         assert a.events == b.events and a.events
