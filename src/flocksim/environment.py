@@ -22,6 +22,7 @@ from .core import (
     _row_norms,
     check_fields,
     interaction_acceleration,
+    psi_weight,
 )
 
 
@@ -65,18 +66,20 @@ class ObstacleSpec:
 
 
 def rho_weight(distance: float, detection: float, sigma_o: float) -> float:
-    """Obstacle weight min(0, 1 - (detection/distance)^sigma_o).
+    """Obstacle weight min(0, 1 - (detection/distance)^sigma_o), i.e.
+    min(0, psi_weight(distance, detection, 1, sigma_o)).
 
     Exactly zero at and beyond the detection radius, negative inside it.
     Distances below EPS_POS are clamped to EPS_POS so the weight stays
-    finite (huge repulsion rather than a singularity).
+    finite (huge repulsion rather than a singularity); a power beyond the
+    float range gives -inf, as in psi_weight.
     """
     if detection <= 0:
         raise ValueError("detection must be positive")
     if distance < 0:
         raise ValueError("distance must be non-negative")
     d = max(distance, EPS_POS)
-    return min(0.0, 1.0 - (detection / d) ** sigma_o)
+    return min(0.0, psi_weight(d, detection, 1, sigma_o))
 
 
 def detected_obstacles(position: np.ndarray, obstacles) -> list[ObstacleSpec]:
@@ -130,10 +133,10 @@ def add_environment_terms(acc: np.ndarray, positions: np.ndarray,
         to_center = np.array([o.center for o in obstacles], dtype=float)[:, None] - positions
         dist = _row_norms(to_center)
         ob, hit = np.nonzero(dist <= spec[:, :1])  # obstacle-major
-        if hit.size:  # rho_weight per pair: Python's max, ** and min, in array form
+        if hit.size:  # rho_weight per pair: Python's max, psi_weight and min, in array form
             d = dist[ob, hit]
-            ratio = (spec[ob, 0] / np.where(EPS_POS > d, EPS_POS, d)).tolist()
-            w = 1.0 - np.array(list(map(pow, ratio, spec[ob, 1].tolist())))
+            w = np.array(list(map(psi_weight, np.where(EPS_POS > d, EPS_POS, d).tolist(),
+                                  spec[ob, 0].tolist(), [1] * d.size, spec[ob, 1].tolist())))
             # add.at adds in index order, so each agent's pushes in obstacle order.
             np.add.at(acc, hit, np.where(w < 0.0, w, 0.0)[:, None] * to_center[ob, hit])
     return acc

@@ -164,11 +164,15 @@ def test_simulate_non_finite_forces_exits_2(tmp_path, capsys):
     for doc in ('{"n": 5, "duration": 1.0, "params": {"alpha": 400.0, "delta": 3.0}}',
                 # Coincident agents whose tie-break weight psi(EPS_POS) overflows.
                 '{"n": 2, "duration": 1.0, "init_pos_range": [5.0, 5.0], '
-                '"params": {"delta": 1e160}}'):
+                '"params": {"delta": 1e160}}',
+                # An obstacle weight (1000 / d) ** 400 beyond the float range.
+                '{"n": 3, "duration": 1.0, "cluttered": true, "obstacles": [{"center": '
+                '[1.0, 1.0], "radius": 1.0, "detection": 1000.0, "sigma_o": 400.0}]}'):
         path.write_text(doc, encoding="utf-8")
         with np.errstate(over="ignore", invalid="ignore"):
             assert main(["simulate", str(path)]) == EXIT_NUMERIC
-        assert "numeric failure: non-finite state at step 1" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "numeric failure: non-finite state at step 1" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("doc", ['{"n": 2, "duration": 1e15}',

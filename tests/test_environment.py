@@ -57,6 +57,20 @@ def test_rho_weight_clamps_tiny_distance():
     assert at_zero < -1e20  # enormous repulsion, not a singularity
 
 
+def test_rho_weight_beyond_float_range_is_minus_inf():
+    # (1000 / 1) ** 400 overflows a float: -inf, as psi_weight gives.
+    assert rho_weight(1.0, 1000.0, 400.0) == -np.inf
+    pos = np.array([[0.0, 0.5], [2.5, -1.0], [30.0, 30.0]])
+    vel = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
+    p, target = InteractionParams(radius=6.0), TargetSpec(position=(9.0, 9.0))
+    obstacles = (ObstacleSpec(center=(1.0, 1.0), radius=1.0, detection=1000.0, sigma_o=400.0),
+                 ObstacleSpec(center=(3.0, -2.0), radius=1.0, detection=4.0))
+    want = np.array([extended_acceleration(i, pos, vel, p, target, obstacles) for i in range(3)])
+    plain = np.array([interaction_acceleration(i, pos, vel, p) for i in range(3)])
+    assert np.isinf(want[:2]).all()  # two agents detect the overflowing obstacle
+    assert add_environment_terms(plain, pos, target, obstacles).tobytes() == want.tobytes()
+
+
 def test_rho_weight_rejects_bad_input():
     with pytest.raises(ValueError):
         rho_weight(1.0, 0.0, 3.0)
