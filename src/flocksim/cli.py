@@ -12,6 +12,8 @@ import dataclasses
 import os
 import sys
 
+import numpy as np
+
 from .engine import ConfigError, SimConfig, SimulationNumericsError, empty_trajectory, run
 from .lab import (
     export_all,
@@ -134,7 +136,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # Overflow and NaN end a run as a numeric failure (exit 2); NumPy's
+        # warnings on the way there would only repeat it, with source lines.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -13,7 +13,7 @@ per-agent law does not contain; the in-edge restriction makes the global
 product reproduce the per-agent sums exactly (see global_rhs).
 
 A Snapshot (snapshot_of) is one state's record: pairwise distances (the
-cdist matrix, or one per candidate pair when the state stacks independent
+dense matrix, or one per candidate pair when the state stacks independent
 cells), the neighbor graph (a receiver-sorted edge list), a params table
 and the edge terms for it.  The force kernel interaction_accelerations,
 edge_errors, global_rhs and lyapunov_monitor read it; Snapshot.reweighted
@@ -21,24 +21,33 @@ recomputes only the offset weights for a new table.  Products and quadratic
 forms are evaluated edge-wise at every n; only stability_matrices forms
 dense (Kronecker) matrices, kept as the reference for tests.  The kernel
 reproduces the per-agent core.interaction_acceleration bit for bit.  The
-monitor's spanning-tree check is NumPy reachability; scipy serves only cdist.
+monitor's spanning-tree check is NumPy reachability.  Distances are computed
+in cdist's arithmetic, bit for bit; scipy serves only the dense matrix and its
+condensed form above NUMPY_DISTANCE_NODES agents, and is imported on first use.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .core import (EPS_POS, EPS_VEL, AgentParams, PairNumericsError, _tie_break_direction,
                    agent_params, psi_weight)
 
 log = logging.getLogger(__name__)
 
-# Selects nothing: no code path depends on the node count.  The name stays
+# Dense distances of up to this many agents are NumPy's; above it, scipy's cdist
+# and squareform, imported on first use.  cdist is faster at every size (2-D, us
+# per call, cdist against NumPy: n=40 9.8 against 15-20, n=100 34 against 62,
+# n=300 227 against 912), but importing scipy costs ~0.4 s of a fresh process.
+# Up to 100 the NumPy form adds at most ~30 us per snapshot.
+NUMPY_DISTANCE_NODES = 100
+
+# Selects nothing: no monitor path depends on the node count.  The name stays
 # because the benchmark's graph.dense_frac counter (flockbench/tracing.py)
 # reads it; at 0 that counter reports no dense monitor calls.
 DENSE_NODE_LIMIT = 0
@@ -130,9 +139,9 @@ class EdgeErrors:
 
 
 class Snapshot(NamedTuple):
-    """Distances (cdist, one per candidate pair of build_graph's ``pairs``,
-    or None), graph, params table and per edge dp = p_j - p_i, dv, their
-    norms, guard flags (valid at and above EPS_POS, EPS_VEL) and offset
+    """Distances (the _distances matrix, one per candidate pair of build_graph's
+    ``pairs``, or None), graph, params table and per edge dp = p_j - p_i, dv,
+    their norms, guard flags (valid at and above EPS_POS, EPS_VEL) and offset
     weights (0 off-guard)."""
 
     distances: np.ndarray | None
@@ -179,10 +188,20 @@ def build_graph(positions: np.ndarray, params, distances=None, pairs=None) -> In
 
 
 def _distances(positions: np.ndarray, pairs=None) -> np.ndarray:
-    """cdist(positions, positions), or the distance of each pair in ``pairs``
-    in cdist's arithmetic, bit for bit: squares summed axis by axis, then sqrt."""
+    """The (n, n) distance matrix, or the distance of each pair in ``pairs``, in
+    scipy cdist's arithmetic bit for bit: squares summed axis by axis, then sqrt.
+    Above NUMPY_DISTANCE_NODES agents the matrix is cdist's own."""
     if pairs is None:
-        return cdist(positions, positions)
+        if positions.shape[0] > NUMPY_DISTANCE_NODES:
+            return _scipy_distance().cdist(positions, positions)
+        x0, *rest = positions.T
+        sq = np.subtract.outer(x0, x0)
+        sq *= sq
+        for x in rest:
+            d = np.subtract.outer(x, x)
+            d *= d
+            sq += d
+        return np.sqrt(sq, out=sq)
     out = np.empty(pairs[0].shape[0])
     # Chunks of 2**15 pairs: small temporaries reuse freed heap memory, where whole-list ones
     # faulted in fresh pages on every call (~1.5x the page faults at phase-fig5's 424k pairs).
@@ -192,6 +211,34 @@ def _distances(positions: np.ndarray, pairs=None) -> np.ndarray:
             sq = sq + (x.take(pairs[0][part]) - x.take(pairs[1][part])) ** 2
         np.sqrt(sq, out=out[part])
     return out
+
+
+@functools.cache
+def _scipy_distance():
+    """scipy.spatial.distance, imported on first use; cached, because an import
+    statement costs ~1.5 us per call even when the module is loaded."""
+    import scipy.spatial.distance
+    return scipy.spatial.distance
+
+
+@functools.cache
+def _upper_index(n: int) -> np.ndarray:
+    """Flat indices of an (n, n) matrix's upper triangle, row by row; cached
+    per n, since building them costs more than the take that reads them."""
+    rows, cols = np.triu_indices(n, 1)
+    index = rows * n + cols
+    index.flags.writeable = False
+    return index
+
+
+def _condensed(distances: np.ndarray) -> np.ndarray:
+    """The upper triangle of a distance matrix, row by row: scipy's
+    squareform(distances, checks=False), which above NUMPY_DISTANCE_NODES agents
+    computes it; of a _distances matrix, pdist's distances bit for bit."""
+    n = distances.shape[0]
+    if n > NUMPY_DISTANCE_NODES:
+        return _scipy_distance().squareform(distances, checks=False)
+    return distances.reshape(-1).take(_upper_index(n))
 
 
 def snapshot_of(positions: np.ndarray, velocities: np.ndarray, params, pairs=None) -> Snapshot:

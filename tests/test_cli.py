@@ -2,7 +2,6 @@
 
 import json
 
-import numpy as np
 import pytest
 
 from flocksim import SimConfig, lab, preset, save_config
@@ -134,15 +133,19 @@ def test_sweep_writes_csv(tmp_path, capsys):
     assert lines[0].startswith("eta,n,seed")
     assert len(lines) == 2
 
+
+@pytest.mark.filterwarnings("error")
+def test_sweep_failed_cell_is_reported_without_numpy_warnings(tmp_path, capsys):
     # A cell whose forces overflow fails alone; the other cell's row stays.
+    spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"etas": [3.0], "ns": [2], "deltas": [1.0, 1e160],
                                 "duration": 1.0}), encoding="utf-8")
-    capsys.readouterr()
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main(["sweep", str(spec), "--out-dir", str(out_dir)]) == EXIT_OK
+    out_dir = tmp_path / "sweep_out"
+    assert main(["sweep", str(spec), "--out-dir", str(out_dir)]) == EXIT_OK
     lines = (out_dir / "sweep.csv").read_text(encoding="utf-8").splitlines()
     assert len(lines) == 2 and lines[1].startswith("1.0,3.0,2,0,")
-    assert "cell failed: eta=3.0 n=2 delta=1e+160" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "cell failed: eta=3.0 n=2 delta=1e+160 seed=0: non-finite state at step 1 for agent 0\n")
 
 
 def test_sweep_without_out_dir_writes_csv_to_stdout(tmp_path, capsys):
@@ -159,20 +162,20 @@ def test_sweep_without_out_dir_writes_csv_to_stdout(tmp_path, capsys):
         ["3.0", "2"], ["3.0", "3"], ["13.0", "2"], ["13.0", "3"]]
 
 
+@pytest.mark.filterwarnings("error")  # NumPy's overflow warnings must not reach stderr
 def test_simulate_non_finite_forces_exits_2(tmp_path, capsys):
     path = tmp_path / "overflow.json"
-    for doc in ('{"n": 5, "duration": 1.0, "params": {"alpha": 400.0, "delta": 3.0}}',
-                # Coincident agents whose tie-break weight psi(EPS_POS) overflows.
-                '{"n": 2, "duration": 1.0, "init_pos_range": [5.0, 5.0], '
-                '"params": {"delta": 1e160}}',
-                # An obstacle weight (1000 / d) ** 400 beyond the float range.
-                '{"n": 3, "duration": 1.0, "cluttered": true, "obstacles": [{"center": '
-                '[1.0, 1.0], "radius": 1.0, "detection": 1000.0, "sigma_o": 400.0}]}'):
+    for doc, agent in (('{"n": 5, "duration": 1.0, "params": {"alpha": 400.0, "delta": 3.0}}', 1),
+                       # Coincident agents whose tie-break weight psi(EPS_POS) overflows.
+                       ('{"n": 2, "duration": 1.0, "init_pos_range": [5.0, 5.0], '
+                        '"params": {"delta": 1e160}}', 0),
+                       # An obstacle weight (1000 / d) ** 400 beyond the float range.
+                       ('{"n": 3, "duration": 1.0, "cluttered": true, "obstacles": [{"center": '
+                        '[1.0, 1.0], "radius": 1.0, "detection": 1000.0, "sigma_o": 400.0}]}', 0)):
         path.write_text(doc, encoding="utf-8")
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert main(["simulate", str(path)]) == EXIT_NUMERIC
-        err = capsys.readouterr().err
-        assert "numeric failure: non-finite state at step 1" in err and "Traceback" not in err
+        assert main(["simulate", str(path)]) == EXIT_NUMERIC
+        assert capsys.readouterr().err == (
+            f"numeric failure: non-finite state at step 1 for agent {agent}\n")
 
 
 @pytest.mark.parametrize("doc", ['{"n": 2, "duration": 1e15}',

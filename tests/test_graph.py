@@ -11,7 +11,7 @@ import logging
 
 import numpy as np
 import pytest
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import cdist, pdist
 
 from flocksim import (
     EPS_POS,
@@ -30,10 +30,14 @@ from flocksim import (
     lyapunov_monitor,
     lyapunov_value,
     neighborhood,
+    pair_distances,
     weighted_incidence,
 )
 from flocksim.core import _tie_break_direction, all_neighborhoods, psi_weight
 from flocksim.graph import (
+    NUMPY_DISTANCE_NODES,
+    _condensed,
+    _distances,
     _min_sym_eigenvalue,
     _segment_sums,
     interaction_accelerations,
@@ -248,6 +252,29 @@ def test_candidate_snapshot_is_per_cell_dense_snapshots(m):
             lo, e_lo = lo + n, e_hi
         assert e_lo == g.n_edges
     assert min(seen.values()) >= 20, seen
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 99, 100, 101])
+def test_dense_distances_are_scipys_bit_for_bit(n, m):
+    # NumPy computes the matrix up to NUMPY_DISTANCE_NODES agents, scipy above;
+    # either way the bits are cdist's, the upper triangle is pdist's and
+    # metrics.pair_distances reduces pdist's distances.  The positions: random,
+    # on an integer lattice (exact distances such as 5.0 = |(3, 4)|), half of
+    # them duplicated rows, and near 1e154, where squares overflow to inf.
+    assert NUMPY_DISTANCE_NODES == 100
+    rng = np.random.default_rng(10 * n + m)
+    duplicated = rng.normal(0.0, 10.0, (n, m))
+    duplicated[n // 2:] = duplicated[:n - n // 2]
+    with np.errstate(over="ignore"):
+        for pos in (rng.normal(0.0, 10.0, (n, m)), rng.integers(-4, 5, (n, m)).astype(float),
+                    duplicated, rng.uniform(-1.0, 1.0, (n, m)) * 1e154):
+            dense, want = _distances(pos), pdist(pos)
+            assert dense.tobytes() == cdist(pos, pos).tobytes()
+            assert _condensed(dense).tobytes() == want.tobytes()
+            reduced = (float(np.add.reduce(want) / want.shape[0]), float(np.minimum.reduce(want)))
+            for got in (pair_distances(pos), pair_distances(pos, dense)):
+                assert np.array(got).tobytes() == np.array(reduced).tobytes()
 
 
 def test_candidate_distances_span_chunks():
