@@ -232,9 +232,9 @@ def _upper_index(n: int) -> np.ndarray:
 
 
 def _condensed(distances: np.ndarray) -> np.ndarray:
-    """The upper triangle of a distance matrix, row by row: scipy's
-    squareform(distances, checks=False), which above NUMPY_DISTANCE_NODES agents
-    computes it; of a _distances matrix, pdist's distances bit for bit."""
+    """The upper triangle of a distance matrix, row by row, as scipy's
+    squareform(distances, checks=False) gives it (and computes it above
+    NUMPY_DISTANCE_NODES agents); for a _distances matrix, pdist's bits."""
     n = distances.shape[0]
     if n > NUMPY_DISTANCE_NODES:
         return _scipy_distance().squareform(distances, checks=False)
