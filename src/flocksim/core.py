@@ -37,12 +37,16 @@ class ConfigError(ValueError):
 
 def as_number(value, name: str, integral: bool = False):
     """A finite float, or an int if ``integral``; bools, non-numbers, NaN,
-    infinities and (if integral) fractions are refused, not coerced."""
-    # float and int first: they skip the slower numbers.Real check.
-    if (isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real))
-            or not math.isfinite(value) or integral and not float(value).is_integer()):
-        kind = "an integer" if integral else "a finite number"
-        raise ConfigError(f"{name} must be {kind}, got {value!r}")
+    infinities, numbers beyond the float range and (if integral) fractions
+    are refused, not coerced."""
+    kind = "an integer" if integral else "a finite number"
+    try:
+        # float and int first: they skip the slower numbers.Real check.
+        if (isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real))
+                or not math.isfinite(value) or integral and not float(value).is_integer()):
+            raise ConfigError(f"{name} must be {kind}, got {value!r}")
+    except OverflowError:  # not printed: an int's digits can pass repr's 4300-digit limit
+        raise ConfigError(f"{name} must be {kind}, got a number beyond the float range") from None
     return int(value) if integral else float(value)
 
 

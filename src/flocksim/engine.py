@@ -109,6 +109,8 @@ class SimConfig:
             raise ConfigError("dt must be positive")
         if self.duration < self.dt:
             raise ConfigError("duration must cover at least one step")
+        if not math.isfinite(self.duration / self.dt):
+            raise ConfigError("duration / dt must be finite")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
         if self.workers < 1:
@@ -403,8 +405,8 @@ def empty_trajectory(config: SimConfig) -> Trajectory:
 
 def run(config: SimConfig) -> Trajectory:
     """Execute n_steps steps, recording state and metrics at every snapshot."""
+    traj = empty_trajectory(config)  # first: it refuses what validate refuses, before any seeding
     world = initialize(config)
-    traj = empty_trajectory(config)
 
     def record(k: int):
         traj.times[k] = world.time

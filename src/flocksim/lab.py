@@ -366,7 +366,7 @@ def _load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int literal past Python's digit limit
         raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
 
 

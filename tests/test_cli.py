@@ -30,15 +30,10 @@ def test_validate_reports_mode(tmp_path, capsys):
     assert "cucker-smale" in capsys.readouterr().out
 
 
-def test_validate_bad_config_exits_1(tmp_path, capsys):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"n": 1, "duration": 1.0}), encoding="utf-8")
-    assert main(["validate", str(path)]) == EXIT_CONFIG
-    assert "config error" in capsys.readouterr().err
-
-
 # A top-level error prints once after "config error: "; a nested block and
 # the sweep spec keep their own prefix.
+_INT = "must be an integer, got a number beyond the float range"
+_NUM = "must be a finite number, got a number beyond the float range"
 _EXACT_ERRORS = {
     "too-few-agents": ("validate", {"n": 1, "duration": 1.0}, "need at least two agents"),
     "unknown-key": ("validate", {"n": 4, "duration": 1.0, "extra": 1}, "unknown keys ['extra']"),
@@ -59,6 +54,24 @@ _EXACT_ERRORS = {
                "energy: unknown keys ['energy']"),
     "sweep-spec": ("sweep", {"etas": [3.0], "ns": [2], "extra": 1},
                    "sweep spec: unknown keys ['extra']"),
+    # Integers beyond the float range are refused by the field's own rule.
+    "n-beyond-float": ("validate", {"n": 10**400, "duration": 1.0}, f"n {_INT}"),
+    "seed-beyond-float": ("simulate", {"n": 2, "duration": 1.0, "seed": -10**400}, f"seed {_INT}"),
+    "dt-beyond-float": ("simulate", {"n": 2, "duration": 1.0, "dt": 10**400}, f"dt {_NUM}"),
+    "range-beyond-float": ("validate", {"n": 2, "duration": 1.0, "init_pos_range": [0, 10**400]},
+                           f"init_pos_range {_NUM}"),
+    "delta-beyond-float": ("simulate", {"n": 2, "duration": 1.0, "params": {"delta": 10**400}},
+                           f"params: delta {_NUM}"),
+    "target-beyond-float": ("validate", {"n": 2, "duration": 1.0, "cluttered": True,
+                                         "target": {"position": [10**400, 0.0]}},
+                            f"target: position {_NUM}"),
+    "etas-beyond-float": ("sweep", {"etas": [10**400], "ns": [2]}, f"sweep spec: etas {_NUM}"),
+    "ns-beyond-float": ("sweep", {"etas": [3.0], "ns": [10**400]}, f"sweep spec: ns {_INT}"),
+    "seeds-beyond-float": ("sweep", {"etas": [3.0], "ns": [2], "seeds": 10**400},
+                           f"sweep spec: seeds {_INT}"),
+    # Finite bounds whose step count duration / dt is not.
+    "steps-beyond-float": ("validate", {"n": 2, "duration": 1e308, "dt": 1e-10},
+                           "duration / dt must be finite"),
 }
 
 
@@ -70,6 +83,25 @@ def test_config_errors_name_each_block_once(tmp_path, capsys, command, doc, mess
     assert main([command, str(path)]) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert captured.err == f"config error: {message}\n" and captured.out == ""
+
+
+def test_seed_override_beyond_float_range_exits_1(capsys):
+    assert main(["simulate", "flocking-fig2a", "--seed", str(10**400)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: seed {_INT}\n" and captured.out == ""
+
+
+@pytest.mark.parametrize("command, head", [("validate", '{"n": 3, "duration": 1.0, "seed": '),
+                                           ("sweep", '{"etas": [3.0], "ns": [2], "seeds": ')],
+                         ids=["validate", "sweep"])
+def test_integer_literal_past_the_digit_limit_is_not_valid_json(tmp_path, capsys, command, head):
+    # json.load refuses an int literal of more than 4300 digits with a ValueError.
+    path = tmp_path / "doc.json"
+    path.write_text(head + "9" * 5000 + "}", encoding="utf-8")
+    assert main([command, str(path)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: {path}: not valid JSON: Exceeds the limit")
+    assert captured.err.count("\n") == 1 and captured.out == ""
 
 
 def test_validate_missing_file_exits_3(tmp_path, capsys):

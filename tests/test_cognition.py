@@ -20,7 +20,6 @@ from flocksim import (
     energy_derivative,
     low_energy_fraction,
 )
-from flocksim.core import all_neighborhoods
 
 
 def test_energy_state_validation():
@@ -135,18 +134,6 @@ def test_apply_adaptation_updates_only_offsets():
     assert out.delta[0] > out.delta[2]
 
 
-def test_apply_adaptation_matches_manual_composition():
-    pos = np.array([[0.0, 0.0], [2.0, 0.0], [4.0, 0.0]])
-    energies = np.array([60.0, 35.0, 10.0])
-    params = [InteractionParams(radius=3.0)] * 3
-    adap = AdaptationParams()
-    out = apply_adaptation(pos, energies, params, adap)
-    # Agent 1 sees both others (distance 2 each).
-    thr = adaptive_threshold(energies, Neighborhood((0, 2)), adap.e_th)
-    assert out.eta[1] == pytest.approx(adaptive_eta(35.0, thr, adap), rel=1e-15)
-    assert out.delta[1] == pytest.approx(adaptive_delta(35.0, thr, adap), rel=1e-15)
-
-
 def test_apply_adaptation_permutation_equivariance():
     rng = np.random.default_rng(13)
     pos = rng.uniform(0, 6, (5, 2))
@@ -170,27 +157,3 @@ def test_apply_adaptation_validates_lengths():
         apply_adaptation(pos, np.zeros(3), [InteractionParams()] * 2,
                          AdaptationParams())
 
-
-def test_apply_adaptation_matches_scalar_functions_bitwise():
-    # Isolated agents keep the threshold e_th, so k * (E - e_th) spans both
-    # signs, zero, the overflow branch (+-800) and NaN; a clustered group
-    # adds neighbor-blended thresholds.
-    adap = AdaptationParams(k_delta=0.5, k_eta=0.25, e_th=40.0)
-    rng = np.random.default_rng(5)
-    x = np.concatenate([[0.0, -0.0, 800.0, -800.0, 1e-12, -1e-12, np.nan, np.inf, -np.inf],
-                        rng.normal(0.0, 3.0, 400)])
-    energies = np.concatenate([adap.e_th + x / adap.k_delta, rng.uniform(0.0, 100.0, 10)])
-    n = energies.shape[0]
-    pos = np.zeros((n, 2))
-    pos[:-10, 0] = 100.0 * np.arange(n - 10)
-    pos[-10:] = rng.uniform(-1e4, -1e4 + 3.0, (10, 2))
-    params = [InteractionParams(radius=2.0)] * n
-    out = apply_adaptation(pos, energies, params, adap)
-    nbrs = all_neighborhoods(pos, 2.0)
-    thr = [adaptive_threshold(energies, nb, adap.e_th) for nb in nbrs]
-    want_delta = np.array([adaptive_delta(e, t, adap) for e, t in zip(energies, thr)])
-    want_eta = np.array([adaptive_eta(e, t, adap) for e, t in zip(energies, thr)])
-    assert out.delta.tobytes() == want_delta.tobytes()
-    assert out.eta.tobytes() == want_eta.tobytes()
-    assert out.delta[2] == adap.delta_max and out.delta[3] == adap.delta_min
-    assert np.isnan(out.delta[6]) and sum(nb.count > 0 for nb in nbrs) >= 5

@@ -169,16 +169,6 @@ def test_neighborhoods_directed_with_unequal_radii():
     assert nbrs[1].members == ()
 
 
-def test_all_neighborhoods_matches_single():
-    rng = np.random.default_rng(11)
-    for _ in range(5):
-        pos = rng.uniform(0, 10, (8, 2))
-        radius = float(rng.uniform(2, 8))
-        combined = all_neighborhoods(pos, radius)
-        for i in range(8):
-            assert combined[i] == neighborhood(i, pos, radius)
-
-
 # ---------------------------------------------------------------------------
 # Weight functions
 

@@ -155,45 +155,3 @@ def test_extended_acceleration_composes_all_terms():
             got = extended_acceleration(i, pos, vel, p, target, obstacles)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
-
-def test_add_environment_terms_matches_per_agent_bitwise():
-    # All agents at once against extended_acceleration: 2-D and 3-D, one
-    # agent on an obstacle center, one about a detection radius from another,
-    # one exactly on a detection radius, agents inside two and three
-    # detection ranges at once, kappa 0 and > 0.
-    rng = np.random.default_rng(29)
-    p = InteractionParams(radius=6.0)
-    hits, multi = 0, set()
-    for trial in range(40):
-        m = 2 + trial % 2
-        pos = rng.uniform(-10, 10, (8, m))
-        vel = rng.uniform(-2, 2, (8, m))
-        # Obstacle 1 sits within ~2 m of obstacle 0 (on integer coordinates,
-        # so an offset of (3, 4) from it is exactly 5 m); obstacle 2 joins
-        # them on even trials and is far away on odd ones.
-        c0 = rng.uniform(-10, 10, m)
-        centers = [c0, np.round(c0 + rng.uniform(-1, 1, m)),
-                   c0 + (rng.uniform(-1, 1, m) if trial % 2 == 0 else 40.0)]
-        obstacles = tuple(
-            ObstacleSpec(center=tuple(c), radius=1.0,
-                         detection=5.0 if k == 1 else float(rng.uniform(3.0, 9.0)),
-                         sigma_o=float(rng.choice([1.5, 2.0, 3.0])))
-            for k, c in enumerate(centers))
-        pos[0] = obstacles[0].center
-        pos[1] = obstacles[1].center
-        pos[1, 0] += obstacles[1].detection
-        pos[2] = c0 + rng.uniform(-0.5, 0.5, m)
-        pos[3] = np.array(obstacles[1].center) + (3.0, 4.0, 0.0)[:m]
-        assert np.linalg.norm(np.array(obstacles[1].center) - pos[3]) == obstacles[1].detection
-        target = TargetSpec(position=tuple(rng.uniform(-20, 20, m)),
-                            kappa=float(rng.choice([0.0, 0.4])))
-        want = np.array([extended_acceleration(i, pos, vel, p, target, obstacles)
-                         for i in range(8)])
-        plain = np.array([interaction_acceleration(i, pos, vel, p) for i in range(8)])
-        got = add_environment_terms(plain, pos, target, obstacles)
-        assert got.tobytes() == want.tobytes(), trial
-        detected = [len(detected_obstacles(x, obstacles)) for x in pos]
-        hits += sum(detected)
-        multi.update(d for d in detected if d > 1)
-        assert obstacles[1] in detected_obstacles(pos[3], obstacles)
-    assert hits >= 80 and multi == {2, 3}
