@@ -41,7 +41,7 @@ from flocksim.graph import (
     snapshot_of,
     stability_matrices,
 )
-from strategies import cell_pairs, rooted_by_laplacian_rank
+from strategies import cell_pairs, edge_list_graph, rooted_by_laplacian_rank
 
 
 def _two_node_state():
@@ -90,6 +90,15 @@ def test_two_node_graph_structure():
     np.testing.assert_array_equal(g.receivers, [0, 1])
     np.testing.assert_array_equal(g.in_degrees(), [1, 1])
     np.testing.assert_array_equal(laplacian(g), [[2.0, -2.0], [-2.0, 2.0]])
+
+
+def test_asymmetric_radii_graph():
+    # Middle agent blind (tiny radius): only the outer agents receive.
+    pos = np.array([[0.0, 0.0], [2.0, 0.0], [4.0, 0.0]])
+    params = [InteractionParams(radius=r) for r in (2.5, 0.1, 2.5)]
+    g = build_graph(pos, params)
+    assert g.edges == ((1, 0), (1, 2))
+    np.testing.assert_array_equal(g.in_degrees(), [1, 0, 1])
 
 
 @pytest.mark.parametrize("m", [2, 3])
@@ -257,8 +266,41 @@ def test_tie_break_overflow_kernel_matches_per_agent_law():
         assert (i, got.value.j) == (want.value.i, want.value.j) == pair
 
 
+def test_global_rhs_isolated_agents_zero():
+    pos = np.array([[0.0, 0.0], [100.0, 0.0], [200.0, 0.0]])
+    vel = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    out = global_rhs(pos, vel, InteractionParams(radius=5.0))
+    np.testing.assert_array_equal(out, np.zeros(6))
+
+
 # ---------------------------------------------------------------------------
 # Edge residuals
+
+
+def test_edge_errors_skip_equal_velocity_pairs():
+    # Agents 0 and 1 share a velocity; their mutual edges drop out of the
+    # velocity averages but keep position residuals.
+    pos = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 2.0]])
+    vel = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    err = edge_errors(pos, vel, InteractionParams(radius=10.0))
+    edges = list(zip(err.sources.tolist(), err.receivers.tolist()))
+    mutual = [e for e, (j, i) in enumerate(edges) if {i, j} == {0, 1}]
+    assert len(mutual) == 2
+    assert err.pos_valid[mutual].all() and not err.vel_valid[mutual].any()
+    for i in (0, 1):  # one velocity residual left, agent 2's; two position ones
+        np.testing.assert_array_equal(err.agent_mean_vel[i], err.vel[edges.index((2, i))])
+        rows = [e for e, (_, r) in enumerate(edges) if r == i]
+        np.testing.assert_allclose(err.agent_mean_pos[i], err.pos[rows].mean(axis=0),
+                                   rtol=0.0, atol=1e-12)
+
+
+def test_edge_errors_isolated_agent_is_nan():
+    pos = np.array([[0.0, 0.0], [2.0, 0.0], [500.0, 500.0]])
+    vel = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    err = edge_errors(pos, vel, InteractionParams(radius=10.0))
+    assert np.isnan(err.agent_mean_pos[2]).all()
+    assert np.isnan(err.agent_mean_vel[2]).all()
+    assert np.isfinite(err.agent_mean_pos[:2]).all()
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +453,38 @@ def test_psd_certificate_matches_kronecker_reference():
             psd_true[k] += report[key]
     assert big >= 10
     assert min(psd_true) >= 5
+
+
+def test_has_spanning_tree_cases():
+    pos = np.array([[0.0, 0.0], [2.0, 0.0], [4.0, 0.0]])
+
+    def radii(*r):
+        return [InteractionParams(radius=x) for x in r]
+
+    assert has_spanning_tree(build_graph(pos, radii(2.5, 2.5, 2.5)))
+    # Blind middle agent: edges 1 -> 0 and 1 -> 2, both outer agents follow it.
+    assert has_spanning_tree(build_graph(pos, radii(2.5, 0.1, 2.5)))
+    # Blind left agent: the right pair is still reachable from everyone.
+    assert has_spanning_tree(build_graph(pos, radii(0.1, 2.5, 2.5)))
+    # No edges at all.
+    iso = np.array([[0.0, 0.0], [100.0, 0.0]])
+    assert not has_spanning_tree(build_graph(iso, radii(1.0, 1.0)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 64])
+def test_has_spanning_tree_on_long_paths_and_cycles(n):
+    # A directed path's far end is bit_length(n - 1) doublings of reach from
+    # its root, the most any n-node graph needs.
+    path = [(i, i + 1) for i in range(n - 1)]
+    cycle = path + [(n - 1, 0)] * (n > 1)
+    for g in (edge_list_graph(n, path), edge_list_graph(n, cycle)):
+        assert rooted_by_laplacian_rank(g)
+        assert has_spanning_tree(g)
+    if n >= 3:  # one reversed edge leaves two roots, 0 and k + 1
+        k = n // 2
+        g = edge_list_graph(n, path[:k] + [(k + 1, k)] + path[k + 1:])
+        assert not rooted_by_laplacian_rank(g)
+        assert not has_spanning_tree(g)
 
 
 def test_has_spanning_tree_matches_laplacian_rank_3d_near_60_agents():

@@ -177,6 +177,74 @@ def test_sweep_refuses_a_grid_it_cannot_hold(monkeypatch):
             sweep(spec)
 
 
+def test_sweep_runs_grid_in_order():
+    spec = SweepSpec(etas=(3.0, 13.0), ns=(2, 3), seeds=2, duration=1.0)
+    rows, failures = sweep(spec)
+    assert failures == []
+    assert len(rows) == 8
+    key = [(r.eta, r.n, r.seed) for r in rows]
+    assert key == [
+        (3.0, 2, 0), (3.0, 2, 1), (3.0, 3, 0), (3.0, 3, 1),
+        (13.0, 2, 0), (13.0, 2, 1), (13.0, 3, 0), (13.0, 3, 1),
+    ]
+    for r in rows:
+        assert r.delta == 1.0
+        assert r.d_min_overall > 0
+        assert not r.aggregation_lost
+
+
+def test_sweep_delta_axis_rows():
+    spec = SweepSpec(etas=(3.0,), ns=(2,), deltas=(0.5, 1.5), duration=1.0)
+    rows, _ = sweep(spec)
+    assert [r.delta for r in rows] == [0.5, 1.5]
+
+    # A cell whose forces overflow is a recorded failure; the others run.
+    spec = SweepSpec(etas=(3.0,), ns=(2,), deltas=(1.0, 1e160), duration=1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows, failures = sweep(spec)
+    assert [r.delta for r in rows] == [1.0]
+    assert len(failures) == 1 and failures[0].startswith("eta=3.0 n=2 delta=1e+160")
+
+
+def _small_sweep_spec(seed: int, duration: float) -> SweepSpec:
+    """One seed-drawn eta per eighth of [0, 33] across n in {2, 3, 5, 10}."""
+    edges = np.linspace(0.0, 33.0, 9)
+    etas = np.random.default_rng(seed).uniform(edges[:-1], edges[1:])
+    return SweepSpec(etas=tuple(etas.tolist()), ns=(2, 3, 5, 10), duration=duration)
+
+
+_LOCKSTEP_SPECS = {
+    "mixed-n-two-seeds": SweepSpec(etas=(0.0, 3.0, 13.0, 30.0), ns=(2, 3, 10, 50),
+                                   seeds=2, duration=2.0),
+    # Overflowing cells (delta = 1e160) at several stack offsets among healthy ones.
+    "delta-axis-overflow": SweepSpec(etas=(3.0, 21.0), ns=(2, 5, 10),
+                                     deltas=(1.0, 1e160, 1.5), seeds=2, duration=2.0),
+    "spatial-fig7-short": dataclasses.replace(preset("spatial-fig7").sweep, duration=2.0),
+    "small-sweep-seed-1": _small_sweep_spec(1, 3.0),
+    # Shared starts: every (n, seed) serves several eta and delta cells (n = 5
+    # twice), and the delta = 1e160 cells drop out of the stack at step 1.
+    "shared-starts-overflow": SweepSpec(etas=(0.0, 7.0, 21.0), ns=(2, 5, 5, 10),
+                                        deltas=(0.5, 1e160, 2.0), seeds=3, duration=2.0),
+    # Four seeds, each drawn once at n = 10 and shared by its smaller and
+    # repeated n, listed largest first.
+    "seeds-repeated-n": SweepSpec(etas=(2.0, 9.0, 25.0), ns=(10, 3, 10, 2, 3),
+                                  seeds=4, duration=1.5),
+}
+
+
+@pytest.mark.parametrize("spec", list(_LOCKSTEP_SPECS.values()), ids=list(_LOCKSTEP_SPECS))
+def test_lockstep_sweep_matches_per_cell_runs(spec):
+    # Named grids beside test_properties.py's drawn ones: 50 and 100 agents,
+    # the benchmark's grid, and overflowing cells that must all fail.
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows, failures = sweep(spec)
+        ref_rows, ref_failures = per_cell_sweep(spec)
+    assert repr(rows) == repr(ref_rows)
+    assert failures == ref_failures
+    if spec.has_delta_axis and 1e160 in spec.deltas:
+        assert len(failures) == len(spec.etas) * len(spec.ns) * spec.seeds and rows
+
+
 def test_lockstep_sweep_drops_cells_with_non_finite_state(monkeypatch):
     # The step's post-force stage turns rows non-finite by their own values
     # alone, so each cell fails where its own engine.run fails: at the first
@@ -287,6 +355,24 @@ def test_sweep_steps_only_through_engine_step(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # Config serialization
+
+
+@pytest.mark.parametrize("name", EXPECTED_PRESETS)
+def test_config_dict_round_trip(name):
+    cfg = preset(name).config
+    doc = config_to_dict(cfg)
+    json.dumps(doc)  # must be JSON-serializable as-is
+    assert config_from_dict(doc) == cfg
+
+
+def test_per_agent_params_round_trip():
+    cfg = SimConfig(
+        n=2, duration=1.0,
+        params=(InteractionParams(delta=0.5), InteractionParams(delta=1.5)),
+    )
+    doc = config_to_dict(cfg)
+    assert isinstance(doc["params"], list) and len(doc["params"]) == 2
+    assert config_from_dict(doc) == cfg
 
 
 def test_config_file_round_trip(tmp_path):

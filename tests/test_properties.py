@@ -5,7 +5,6 @@ failing example is printed and reproduces on every run.
 """
 
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -20,11 +19,11 @@ from scipy.spatial.distance import cdist
 
 import strategies
 from flocksim import (EPS_POS, EPS_VEL, DegeneratePairError, InteractionParams,
-                      OracleInapplicableError, PairNumericsError, SimConfig, SweepSpec,
-                      adaptive_delta, adaptive_eta, adaptive_threshold, apply_adaptation,
-                      build_graph, edge_errors, extended_acceleration, global_rhs,
-                      has_spanning_tree, initialize, interaction_acceleration, list_presets,
-                      offset_vectors, preset, rate_limit, saturate_velocity, sweep)
+                      OracleInapplicableError, PairNumericsError, SimConfig, adaptive_delta,
+                      adaptive_eta, adaptive_threshold, apply_adaptation, build_graph,
+                      edge_errors, extended_acceleration, global_rhs, has_spanning_tree,
+                      initialize, interaction_acceleration, offset_vectors, rate_limit,
+                      saturate_velocity, sweep)
 from flocksim.cli import EXIT_CONFIG, EXIT_OK, main
 from flocksim.core import agent_params, all_neighborhoods
 from flocksim.engine import integrate, spawned_draws
@@ -211,18 +210,6 @@ def test_has_spanning_tree_equals_laplacian_rank(g):
     assert has_spanning_tree(g) == strategies.rooted_by_laplacian_rank(g)
 
 
-# Every run: directed paths and cycles, whose far end needs bit_length(n - 1)
-# doublings of reach (the most an n-node graph needs), and paths with one
-# reversed edge, which leaves two roots.
-for _n in (1, 2, 3, 17, 64):
-    _path = [(i, i + 1) for i in range(_n - 1)]
-    _k = _n // 2
-    for _edges in (_path, _path + [(_n - 1, 0)] * (_n > 1),
-                   _path[:_k] + [(_k + 1, _k)] + _path[_k + 1:] if _n >= 3 else ()):
-        test_has_spanning_tree_equals_laplacian_rank = example(
-            strategies.edge_list_graph(_n, _edges))(test_has_spanning_tree_equals_laplacian_rank)
-
-
 @fixed(40)
 @example(seed=2**32 - 1, n=3, k=4, extra=0)
 @example(seed=2**32, n=2, k=6, extra=298)
@@ -255,25 +242,7 @@ def test_initialize_equals_generator_uniform(case):
         assert world.velocities.tobytes() == want[:, 1].tobytes()
 
 
-# The small-sweep benchmark's grid at seed 1: one drawn eta per eighth of [0, 33].
-_EDGES = np.linspace(0.0, 33.0, 9)
-_SMALL_SWEEP = SweepSpec(etas=tuple(np.random.default_rng(1).uniform(_EDGES[:-1], _EDGES[1:])
-                                    .tolist()), ns=(2, 3, 5, 10), duration=3.0)
-
-
 @fixed(8)
-# Every run: mixed n with two seeds; overflowing cells (delta = 1e160) at
-# several stack offsets; cells of 100 agents; the small-sweep benchmark's
-# grid; shared starts, each (n, seed) serving several eta and delta cells; and
-# four seeds drawn at n = 10 and shared by smaller and repeated n.
-@example(SweepSpec(etas=(0.0, 3.0, 13.0, 30.0), ns=(2, 3, 10, 50), seeds=2, duration=2.0))
-@example(SweepSpec(etas=(3.0, 21.0), ns=(2, 5, 10), deltas=(1.0, 1e160, 1.5), seeds=2,
-                   duration=2.0))
-@example(dataclasses.replace(preset("spatial-fig7").sweep, duration=2.0))
-@example(_SMALL_SWEEP)
-@example(SweepSpec(etas=(0.0, 7.0, 21.0), ns=(2, 5, 5, 10), deltas=(0.5, 1e160, 2.0), seeds=3,
-                   duration=2.0))
-@example(SweepSpec(etas=(2.0, 9.0, 25.0), ns=(10, 3, 10, 2, 3), seeds=4, duration=1.5))
 @given(strategies.sweep_specs)
 def test_sweep_rows_equal_per_cell_runs(spec):
     with np.errstate(over="ignore", invalid="ignore"):
@@ -319,11 +288,6 @@ def test_csv_fields_parse_back_to_their_bits(export):
 @given(strategies.configs())
 def test_config_round_trips_through_json(cfg):
     assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
-
-
-for _name in list_presets():  # every run
-    test_config_round_trips_through_json = example(preset(_name).config)(
-        test_config_round_trips_through_json)
 
 
 @fixed(100)
