@@ -342,14 +342,15 @@ def offset_vectors(
         raise DegeneratePairError(i, j, "empty neighborhood")
     dp = positions[j] - positions[i]
     dv = velocities[j] - velocities[i]
-    dist = float(np.linalg.norm(dp))
-    dvn = float(np.linalg.norm(dv))
+    # Row norms and array powers, as the snapshot's: the 1-D norm and Python's pow
+    # differ in the last bit, and that pow raises OverflowError where NumPy's gives inf.
+    dist, dvn = np.linalg.norm(np.stack([dp, dv]), axis=1).tolist()
     if dist < EPS_POS:
         raise DegeneratePairError(i, j, "position")
     if dvn < EPS_VEL:
         raise DegeneratePairError(i, j, "velocity")
-    p_off = (params.delta * k / dist) ** params.alpha * dp
-    v_off = (params.eta / (k * dvn)) ** params.beta * dv
+    p_off = np.array([params.delta * k / dist]) ** float(params.alpha) * dp
+    v_off = np.array([params.eta / (k * dvn)]) ** float(params.beta) * dv
     return p_off, v_off
 
 

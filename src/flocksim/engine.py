@@ -8,14 +8,14 @@ and by the next step; adaptation never changes radii, so it only reweighs
 it.  A step applies, in order: adaptation of the table's delta and eta
 columns (adaptive runs), force assembly (the graph layer's edge kernel,
 plus target and obstacle terms in cluttered runs, or the comparison
-consensus law over the distance matrix), then integrate(): acceleration
-rate clamp, semi-implicit Euler and velocity saturation; and energy
-integration when an energy block is configured, with a negative_energy
-event in the step an agent's energy drops below zero (energy only falls,
-so once per agent).  Coincident-pair events
-come from the snapshot's edge flags, so lab.sweep's stacked cells, one
-World whose snapshot covers only pairs within a cell, take the same
-step().  Each stage reproduces the per-agent functions bit for bit.
+consensus law over the distance matrix mirrored from the snapshot's), then
+integrate(): acceleration rate clamp, semi-implicit Euler and velocity
+saturation; and energy integration when an energy block is configured,
+with a negative_energy event in the step an agent's energy drops below
+zero (energy only falls, so once per agent).  Coincident-pair events come
+from the snapshot's edge flags, so lab.sweep's stacked cells, one World
+whose snapshot covers only pairs within a cell, take the same step().
+Each stage reproduces the per-agent functions bit for bit.
 
 Determinism holds for a fixed (config, seed): each agent's start comes
 from its own spawned PCG64 stream (spawned_draws evaluates SeedSequence
@@ -47,7 +47,7 @@ from .core import (
     cucker_smale_acceleration,
 )
 from .environment import ObstacleSpec, TargetSpec, add_environment_terms
-from .graph import Snapshot, interaction_accelerations, snapshot_of
+from .graph import Snapshot, _upper_pairs, interaction_accelerations, snapshot_of
 
 
 class SimulationNumericsError(RuntimeError):
@@ -270,8 +270,10 @@ def _forces(world: World, snap: Snapshot) -> np.ndarray:
     cs = cfg.cucker_smale
     if cs is not None:
         # Row i sums over j in index order, as cucker_smale_acceleration(i) does.
-        w = cs.k_gain / (cs.sigma_cs**2 + snap.distances) ** cs.gamma
-        v = world.velocities
+        v, (rows, cols) = world.velocities, _upper_pairs(len(world.velocities))
+        dist = np.zeros((len(v), len(v)))
+        dist[rows, cols] = dist[cols, rows] = snap.distances
+        w = cs.k_gain / (cs.sigma_cs**2 + dist) ** cs.gamma
         acc = (w[:, :, None] * (v[None] - v[:, None])).sum(axis=1)
         bad = ~np.isfinite(acc).all(axis=1)
         if bad.any():  # the per-agent law names the pair
@@ -400,7 +402,8 @@ def empty_trajectory(config: SimConfig) -> Trajectory:
             energies=np.empty((s, n)) if config.energy is not None else None,
             metrics=[], events=[])
     except (MemoryError, ValueError) as exc:
-        raise ConfigError(f"cannot record {s} snapshots x {n} agents: {exc}") from exc
+        count = f"{s:.3e}" if s > 10**15 else s  # not every digit of a count up to 1e308
+        raise ConfigError(f"cannot record {count} snapshots x {n} agents: {exc}") from exc
 
 
 def run(config: SimConfig) -> Trajectory:

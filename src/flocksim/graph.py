@@ -12,18 +12,17 @@ a node's out-edges would couple back into its own dynamics, which the
 per-agent law does not contain; the in-edge restriction makes the global
 product reproduce the per-agent sums exactly (see global_rhs).
 
-A Snapshot (snapshot_of) is one state's record: pairwise distances (the
-dense matrix, or one per candidate pair when the state stacks independent
-cells), the neighbor graph (a receiver-sorted edge list), a params table
-and the edge terms for it.  The force kernel interaction_accelerations,
-edge_errors, global_rhs and lyapunov_monitor read it; Snapshot.reweighted
-recomputes only the offset weights for a new table.  Products and quadratic
-forms are evaluated edge-wise at every n; only stability_matrices forms
-dense (Kronecker) matrices, kept as the reference for tests.  The kernel
-reproduces the per-agent core.interaction_acceleration bit for bit.  The
-monitor's spanning-tree check is NumPy reachability.  Distances are computed
-in cdist's arithmetic, bit for bit; scipy serves only the dense matrix and its
-condensed form above NUMPY_DISTANCE_NODES agents, and is imported on first use.
+A Snapshot (snapshot_of) is one state's record: pairwise distances (each pair
+i < j once, row by row, or each candidate pair of stacked independent cells),
+the neighbor graph (a receiver-sorted edge list) and edge lengths taken from
+them, a params table and the edge terms for it.  The force kernel
+interaction_accelerations, edge_errors, global_rhs and lyapunov_monitor read
+it; Snapshot.reweighted recomputes only the offset weights for a new table.
+Products and quadratic forms are evaluated edge-wise at every n; only
+stability_matrices forms dense (Kronecker) matrices, kept as the reference
+for tests.  The kernel and the distances reproduce the per-agent core
+functions bit for bit.  The monitor's spanning-tree check is NumPy
+reachability.
 """
 
 from __future__ import annotations
@@ -39,13 +38,6 @@ from .core import (EPS_POS, EPS_VEL, AgentParams, PairNumericsError, _tie_break_
                    agent_params, psi_weight)
 
 log = logging.getLogger(__name__)
-
-# Dense distances of up to this many agents are NumPy's; above it, scipy's cdist
-# and squareform, imported on first use.  cdist is faster at every size (2-D, us
-# per call, cdist against NumPy: n=40 9.8 against 15-20, n=100 34 against 62,
-# n=300 227 against 912), but importing scipy costs ~0.4 s of a fresh process.
-# Up to 100 the NumPy form adds at most ~30 us per snapshot.
-NUMPY_DISTANCE_NODES = 100
 
 # Selects nothing: no monitor path depends on the node count.  The name stays
 # because the benchmark's graph.dense_frac counter (flockbench/tracing.py)
@@ -139,10 +131,10 @@ class EdgeErrors:
 
 
 class Snapshot(NamedTuple):
-    """Distances (the _distances matrix, one per candidate pair of build_graph's
-    ``pairs``, or None), graph, params table and per edge dp = p_j - p_i, dv,
-    their norms, guard flags (valid at and above EPS_POS, EPS_VEL) and offset
-    weights (0 off-guard)."""
+    """Distances (_distances' condensed vector, one per candidate pair of
+    build_graph's ``pairs``, or None), graph, params table and per edge
+    dp = p_j - p_i, dv, their norms, guard flags (valid at and above EPS_POS,
+    EPS_VEL) and offset weights (0 off-guard)."""
 
     distances: np.ndarray | None
     graph: InteractionGraph
@@ -167,85 +159,86 @@ class Snapshot(NamedTuple):
         return self._replace(params=p, w_pos=w_pos, w_vel=w_vel)
 
 
-def build_graph(positions: np.ndarray, params, distances=None, pairs=None) -> InteractionGraph:
+def build_graph(positions: np.ndarray, params, pairs=None) -> InteractionGraph:
     """Directed edge (j, i) for every j in agent i's neighborhood.
 
     ``pairs`` = (sources, receivers), sorted by (receiver, source), may list
     the only candidate edges, e.g. the pairs within each of several stacked
-    cells; ``distances`` may carry _distances(positions, pairs).
+    cells.
     """
     positions = np.asarray(positions, dtype=float)
-    n = positions.shape[0]
-    radius = agent_params(params, n).radius
-    dist = _distances(positions, pairs) if distances is None else distances
+    return _edges(_distances(positions, pairs), agent_params(params, len(positions)).radius,
+                  pairs)[0]
+
+
+def _edges(distances: np.ndarray, radius: np.ndarray, pairs=None):
+    """(build_graph's graph, each edge's distance) from the _distances of
+    ``pairs`` or, without them, of the pairs i < j: edge j -> i where a pair
+    lies within radius[i], i -> j where within radius[j]."""
+    n = radius.shape[0]
     if pairs is not None:
-        edges = np.flatnonzero(dist <= radius.take(pairs[1]))  # sorted, as the candidates
-        return InteractionGraph(n, *(x.take(edges) for x in pairs))
-    mask = dist <= radius[:, None]
-    mask.reshape(-1)[::n + 1] = False  # no self edges
-    receivers, sources = np.divmod(np.flatnonzero(mask), n)  # row-major == sorted by (i, j)
-    return InteractionGraph(n_nodes=n, sources=sources, receivers=receivers)
+        edges = np.flatnonzero(distances <= radius.take(pairs[1]))  # sorted, as the candidates
+        return InteractionGraph(n, *(x.take(edges) for x in pairs)), distances.take(edges)
+    near = (distances <= np.maximum.reduce(radius, initial=0.0)).nonzero()[0]
+    i, j, d = (x.take(near) for x in (*_upper_pairs(n), distances))
+    # Sources below each receiver first, each part ascending: a stable sort by receiver
+    # orders by (receiver, source).  NumPy radix-sorts 8- and 16-bit ints (~0.4x int64's time).
+    receivers, d = np.concatenate([j, i]), np.concatenate([d, d])
+    order = receivers.astype(np.min_scalar_type(n)).argsort(kind="stable")
+    order = order[(d <= radius.take(receivers)).take(order)]  # within the receiver's radius
+    return (InteractionGraph(n, np.concatenate([i, j]).take(order), receivers.take(order)),
+            d.take(order))
+
+
+# Pairs per chunk of the distance pass: larger temporaries faulted in fresh
+# pages on every call (n=300, 2-D: ~220 us per call at 2**13, ~430 at 2**14).
+_CHUNK = 1 << 13
+
+
+@functools.lru_cache(maxsize=1)
+def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(i, j) of every pair i < j of n agents, row by row.  Cached for one n
+    at a time: building them costs more than the gathers that read them, and
+    they hold 16 bytes per pair."""
+    rows, cols = np.triu_indices(n, 1)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
 
 
 def _distances(positions: np.ndarray, pairs=None) -> np.ndarray:
-    """The (n, n) distance matrix, or the distance of each pair in ``pairs``, in
-    scipy cdist's arithmetic bit for bit: squares summed axis by axis, then sqrt.
-    Above NUMPY_DISTANCE_NODES agents the matrix is cdist's own."""
-    if pairs is None:
-        if positions.shape[0] > NUMPY_DISTANCE_NODES:
-            return _scipy_distance().cdist(positions, positions)
-        x0, *rest = positions.T
-        sq = np.subtract.outer(x0, x0)
-        sq *= sq
-        for x in rest:
-            d = np.subtract.outer(x, x)
-            d *= d
-            sq += d
-        return np.sqrt(sq, out=sq)
-    out = np.empty(pairs[0].shape[0])
-    # Chunks of 2**15 pairs: small temporaries reuse freed heap memory, where whole-list ones
-    # faulted in fresh pages on every call (~1.5x the page faults at phase-fig5's 424k pairs).
-    for lo in range(0, out.shape[0], 1 << 15):
-        part, sq = slice(lo, lo + (1 << 15)), 0.0
-        for x in positions.T:
-            sq = sq + (x.take(pairs[0][part]) - x.take(pairs[1][part])) ** 2
-        np.sqrt(sq, out=out[part])
+    """The distance of each pair in ``pairs`` = (sources, receivers), or of each
+    pair i < j row by row: squares summed axis by axis, then sqrt.  Temporaries
+    hold one chunk of pairs, so none grows with n**2."""
+    n, m = positions.shape
+    rows, cols = _upper_pairs(n) if pairs is None else pairs
+    # Rows padded with zeros to 2**k >= 2 columns: take copies those fastest (3-D rows padded to
+    # 4 gather in ~0.6x the time), and adding a zero column changes no sum.
+    width = 1 << max(m - 1, 1).bit_length()
+    if width != m:
+        positions = np.concatenate([positions, np.zeros((n, width - m))], axis=1)
+    out = np.empty(rows.shape[0])
+    buffers = np.empty((2, min(_CHUNK, out.shape[0]), width))
+    for lo in range(0, out.shape[0], _CHUNK):
+        part = slice(lo, lo + _CHUNK)
+        sq = out[part]
+        d, e = buffers[:, :sq.shape[0]]
+        positions.take(rows[part], axis=0, out=d, mode="clip")  # "raise" would buffer out
+        positions.take(cols[part], axis=0, out=e, mode="clip")
+        d -= e
+        d *= d
+        np.add(d[:, 0], d[:, 1], out=sq)
+        for k in range(2, m):
+            sq += d[:, k]
+        np.sqrt(sq, out=sq)
     return out
-
-
-@functools.cache
-def _scipy_distance():
-    """scipy.spatial.distance, imported on first use; cached, because an import
-    statement costs ~1.5 us per call even when the module is loaded."""
-    import scipy.spatial.distance
-    return scipy.spatial.distance
-
-
-@functools.cache
-def _upper_index(n: int) -> np.ndarray:
-    """Flat indices of an (n, n) matrix's upper triangle, row by row; cached
-    per n, since building them costs more than the take that reads them."""
-    rows, cols = np.triu_indices(n, 1)
-    index = rows * n + cols
-    index.flags.writeable = False
-    return index
-
-
-def _condensed(distances: np.ndarray) -> np.ndarray:
-    """The upper triangle of a distance matrix, row by row, as scipy's
-    squareform(distances, checks=False) gives it (and computes it above
-    NUMPY_DISTANCE_NODES agents); for a _distances matrix, pdist's bits."""
-    n = distances.shape[0]
-    if n > NUMPY_DISTANCE_NODES:
-        return _scipy_distance().squareform(distances, checks=False)
-    return distances.reshape(-1).take(_upper_index(n))
 
 
 def snapshot_of(positions: np.ndarray, velocities: np.ndarray, params, pairs=None) -> Snapshot:
     """The Snapshot of a state; ``pairs`` as in build_graph."""
     p = agent_params(params, len(positions))
     dist = _distances(np.asarray(positions, dtype=float), pairs)
-    return _edge_terms(build_graph(positions, p, dist, pairs), positions, velocities, p, dist)
+    g, lengths = _edges(dist, p.radius, pairs)
+    return _edge_terms(g, positions, velocities, p, dist, lengths)
 
 
 def laplacian(g: InteractionGraph) -> np.ndarray:
@@ -268,15 +261,17 @@ def _power(base: np.ndarray, exponents: np.ndarray, receivers: np.ndarray) -> np
 
 
 def _edge_terms(g: InteractionGraph, positions: np.ndarray, velocities: np.ndarray,
-                params, distances=None) -> Snapshot:
-    """The Snapshot of a state on the edges of ``g``, weighted for ``params``."""
+                params, distances=None, lengths=None) -> Snapshot:
+    """The Snapshot of a state on the edges of ``g``, weighted for ``params``;
+    ``lengths`` may carry each edge's _distances value, its dp's norm's bits."""
     sources, receivers = g.sources, g.receivers
     positions, velocities = np.asarray(positions, dtype=float), np.asarray(velocities, dtype=float)
     dp = positions.take(sources, axis=0) - positions.take(receivers, axis=0)
     dv = velocities.take(sources, axis=0) - velocities.take(receivers, axis=0)
     # np.linalg.norm(x, axis=1) is sqrt(add.reduce(x * x, axis=1)), which adds
     # fewer than 8 terms left to right: summing the m columns gives its bits.
-    dist, dvn = (np.sqrt(sum((x * x).T)) for x in (dp, dv))
+    dvn = np.sqrt(sum((dv * dv).T))
+    dist = np.sqrt(sum((dp * dp).T)) if lengths is None else lengths
     return Snapshot(distances, g, None, dp, dv, dist, dvn, dist >= EPS_POS,
                     dvn >= EPS_VEL).reweighted(params)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import EPS_VEL
-from .graph import Snapshot, _condensed, _distances, edge_errors, snapshot_of
+from .graph import Snapshot, _distances, edge_errors, snapshot_of
 
 
 @dataclass(frozen=True)
@@ -66,12 +66,12 @@ def aggregation_radius(positions: np.ndarray) -> float:
 
 def pair_distances(positions: np.ndarray,
                    distances: np.ndarray | None = None) -> tuple[float, float]:
-    """(average, minimum) distance over unordered distinct pairs, which are
-    scipy pdist's bit for bit; ``distances`` may carry the Snapshot's matrix."""
+    """(average, minimum) distance over unordered distinct pairs i < j, row by
+    row; ``distances`` may carry them, as a run's Snapshot does."""
     p = np.asarray(positions, dtype=float)
     if p.ndim != 2 or p.shape[0] < 2:
         raise ValueError("need a (n >= 2, m) position array")
-    d = _condensed(_distances(p) if distances is None else distances)
+    d = _distances(p) if distances is None else distances
     return float(np.add.reduce(d) / d.shape[0]), float(np.minimum.reduce(d))
 
 

@@ -22,6 +22,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 from hypothesis.extra.numpy import arrays
+from scipy.spatial.distance import cdist
 
 from flocksim import (EPS_POS, EPS_VEL, AdaptationParams, CuckerSmaleParams, EnergyState,
                       InteractionGraph, InteractionParams, MetricSample, ObstacleSpec, SimConfig,
@@ -91,6 +92,16 @@ def states(draw, max_n=12, m=None, huge=True):
     if big:
         params[j] = dataclasses.replace(params[j], delta=draw(st.sampled_from(HUGE)))
     return State(pos, vel, params)
+
+
+def mask_edges(positions, radii):
+    """build_graph's oracle: (sources, receivers) of every edge j -> i, j != i,
+    whose cdist distance lies within radii[i], read row-major off the dense
+    mask, i.e. sorted by (receiver, source)."""
+    within = cdist(positions, positions) <= np.asarray(radii, dtype=float)[:, None]
+    np.fill_diagonal(within, False)
+    receivers, sources = np.nonzero(within)
+    return sources, receivers
 
 
 def cell_pairs(sizes):

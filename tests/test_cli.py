@@ -72,6 +72,10 @@ _EXACT_ERRORS = {
     # Finite bounds whose step count duration / dt is not.
     "steps-beyond-float": ("validate", {"n": 2, "duration": 1e308, "dt": 1e-10},
                            "duration / dt must be finite"),
+    # A finite step count too large to record prints in short form, not in 301 digits.
+    "snapshots-beyond-memory": ("validate", {"n": 2, "duration": 1e300, "dt": 1.0},
+                                "cannot record 1.000e+300 snapshots x 2 agents: "
+                                "Maximum allowed dimension exceeded"),
 }
 
 

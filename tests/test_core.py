@@ -18,6 +18,7 @@ from flocksim import (
     InteractionParams,
     Neighborhood,
     cucker_smale_acceleration,
+    edge_errors,
     interaction_acceleration,
     neighborhood,
     offset_vectors,
@@ -279,6 +280,19 @@ def test_offset_vectors_degenerate_pairs():
 
     with pytest.raises(IndexError):
         offset_vectors(0, 0, pos, vel, p)
+
+
+def test_offset_weight_beyond_the_float_range_is_the_snapshots():
+    # (1e200 / 1e-9)**2 overflows: inf, as NumPy's power and edge_errors give,
+    # where Python's scalar pow raised OverflowError.
+    pos = np.array([[0.0, 0.0], [EPS_POS, 0.0]])
+    vel = np.array([[0.0, 0.0], [1.0, 0.0]])
+    p = InteractionParams(delta=1e200, radius=1.0)
+    with np.errstate(all="ignore"):
+        p_off, _ = offset_vectors(0, 1, pos, vel, p)
+        err = edge_errors(pos, vel, p)
+    assert p_off[0] == np.inf
+    assert err.pos[0].tobytes() == (pos[1] - p_off).tobytes()  # edge 1 -> 0
 
 
 # ---------------------------------------------------------------------------

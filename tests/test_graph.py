@@ -33,8 +33,7 @@ from flocksim import (
     weighted_incidence,
 )
 from flocksim.graph import (
-    NUMPY_DISTANCE_NODES,
-    _condensed,
+    _CHUNK,
     _distances,
     _min_sym_eigenvalue,
     interaction_accelerations,
@@ -102,36 +101,34 @@ def test_asymmetric_radii_graph():
 
 
 @pytest.mark.parametrize("m", [2, 3])
-@pytest.mark.parametrize("n", [2, 3, 99, 100, 101])
-def test_dense_distances_are_scipys_bit_for_bit(n, m):
-    # NumPy computes the matrix up to NUMPY_DISTANCE_NODES agents, scipy above;
-    # either way the bits are cdist's, the upper triangle is pdist's and
-    # metrics.pair_distances reduces pdist's distances.  The positions: random,
+@pytest.mark.parametrize("n", [2, 3, 99, 100, 101, 300])
+def test_condensed_distances_are_pdists_bit_for_bit(n, m):
+    # One pass lists every unordered pair once, row by row, with pdist's bits
+    # at every n (300 agents span several chunks of the pass), and
+    # metrics.pair_distances reduces those distances.  The positions: random,
     # on an integer lattice (exact distances such as 5.0 = |(3, 4)|), half of
     # them duplicated rows, and near 1e154, where squares overflow to inf.
-    assert NUMPY_DISTANCE_NODES == 100
     rng = np.random.default_rng(10 * n + m)
     duplicated = rng.normal(0.0, 10.0, (n, m))
     duplicated[n // 2:] = duplicated[:n - n // 2]
     with np.errstate(over="ignore"):
         for pos in (rng.normal(0.0, 10.0, (n, m)), rng.integers(-4, 5, (n, m)).astype(float),
                     duplicated, rng.uniform(-1.0, 1.0, (n, m)) * 1e154):
-            dense, want = _distances(pos), pdist(pos)
-            assert dense.tobytes() == cdist(pos, pos).tobytes()
-            assert _condensed(dense).tobytes() == want.tobytes()
+            got, want = _distances(pos), pdist(pos)
+            assert got.tobytes() == want.tobytes()
             reduced = (float(np.add.reduce(want) / want.shape[0]), float(np.minimum.reduce(want)))
-            for got in (pair_distances(pos), pair_distances(pos, dense)):
-                assert np.array(got).tobytes() == np.array(reduced).tobytes()
+            for pair in (pair_distances(pos), pair_distances(pos, got)):
+                assert np.array(pair).tobytes() == np.array(reduced).tobytes()
 
 
 def test_candidate_distances_span_chunks():
-    # More candidate pairs than one chunk of the distance pass (2**15): each
-    # distance is still cdist's, across the chunk boundary too.
+    # More candidate pairs than several chunks of the distance pass: each
+    # distance is still cdist's, across the chunk boundaries too.
     rng = np.random.default_rng(5)
     sizes = (130, 2, 130)
     cells = [rng.uniform(0.0, 40.0, (n, 3)) for n in sizes]
     pos, pairs = np.concatenate(cells), cell_pairs(sizes)
-    assert pairs[0].size > 2 ** 15
+    assert pairs[0].size > 4 * _CHUNK
     snap = snapshot_of(pos, pos[::-1].copy(), InteractionParams(radius=8.0), pairs=pairs)
     want = np.concatenate([cdist(c, c)[~np.eye(len(c), dtype=bool)] for c in cells])
     assert snap.distances.tobytes() == want.tobytes()

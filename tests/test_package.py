@@ -1,5 +1,5 @@
-"""The package's public name list matches what it binds, and scipy stays
-unloaded until a run needs distances of more than graph.NUMPY_DISTANCE_NODES agents."""
+"""The package's public name list matches what it binds, and runs of any size
+need no scipy."""
 
 import inspect
 import json
@@ -8,7 +8,7 @@ import subprocess
 import sys
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist
+from scipy.spatial.distance import pdist
 
 import flocksim
 from flocksim import SimConfig, engine, graph
@@ -26,52 +26,46 @@ def test_all_lists_every_public_name():
     assert set(flocksim.__all__) == bound
 
 
-_STAGES = """
+# scipy is importable here, so the fresh interpreter blocks it: an import of
+# any scipy module raises ImportError.
+_WITHOUT_SCIPY = """
 import dataclasses, json, sys
-
-def stage(name):
-    print(json.dumps([name, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+sys.modules["scipy"] = None
 
 import flocksim
-from flocksim import SimConfig, engine, graph, lab
-stage("import flocksim")
-engine.run(dataclasses.replace(lab.preset("flocking-fig2a").config, duration=2.0))
-stage("preset run")
+from flocksim import SimConfig, cli, engine, graph, lab
+engine.run(SimConfig(n=101, duration=0.2))
+engine.run(SimConfig(n=300, duration=0.2))
+engine.run(dataclasses.replace(lab.preset("cucker-smale-baseline").config, duration=1.0))
 lab.sweep(lab.SweepSpec(etas=(3.0, 13.0), ns=(2, 5, 10), seeds=2, duration=2.0))
-stage("sweep")
 traj = engine.run(SimConfig(n=40, duration=0.5))
 graph.lyapunov_monitor(traj.positions[-1], traj.velocities[-1], traj.config.params)
-stage("monitor n=40")
-engine.run(SimConfig(n=101, duration=0.2))
-stage("run n=101")
+lab.save_config(SimConfig(n=150, duration=0.2), sys.argv[1])
+codes = [cli.main(["validate", sys.argv[1]]), cli.main(["simulate", sys.argv[1]])]
+print(json.dumps([codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
 """
 
 
-def test_scipy_is_loaded_only_above_the_numpy_distance_limit():
-    # A fresh interpreter: small runs, sweeps and the monitor never import
-    # scipy; the first dense distances of more than 100 agents do.
+def test_runs_need_no_scipy(tmp_path):
+    # A fresh interpreter in which scipy cannot be imported: runs of 101 and
+    # 300 agents, the Cucker-Smale preset, a sweep, the monitor, and the CLI's
+    # validate and simulate on a 150-agent config all succeed.
     src = os.path.dirname(os.path.dirname(flocksim.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", _STAGES], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    stages = dict(json.loads(line) for line in out.splitlines())
-    assert list(stages) == ["import flocksim", "preset run", "sweep", "monitor n=40",
-                            "run n=101"]
-    for name in ("import flocksim", "preset run", "sweep", "monitor n=40"):
-        assert stages[name] == [], name
-    assert "scipy.spatial.distance" in stages["run n=101"]
+    out = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, str(tmp_path / "n150.json")],
+                         env=env, capture_output=True, text=True, check=True).stdout
+    assert json.loads(out.splitlines()[-1]) == [[0, 0], ["scipy"]]
 
 
-def test_run_above_the_limit_keeps_scipys_bits():
-    # n = 101 takes cdist's matrix: the run's snapshots carry its distances
-    # and every metric row pdist's mean and minimum.
-    assert graph.NUMPY_DISTANCE_NODES == 100
+def test_run_above_100_agents_keeps_pdists_bits():
+    # Every run snapshot carries the condensed distances, pdist's bits, and
+    # every metric row their mean and minimum.
     traj = engine.run(SimConfig(n=101, duration=0.5))
     for k, sample in enumerate(traj.metrics):
         pos = traj.positions[k]
         snap = graph.snapshot_of(pos, traj.velocities[k], traj.config.params)
-        assert snap.distances.tobytes() == cdist(pos, pos).tobytes()
         d = pdist(pos)
+        assert snap.distances.tobytes() == d.tobytes()
         assert (sample.d_avg, sample.d_min) == (float(np.add.reduce(d) / d.shape[0]),
                                                 float(np.minimum.reduce(d)))
