@@ -14,7 +14,7 @@ saturation; and energy integration when an energy block is configured,
 with a negative_energy event in the step an agent's energy drops below
 zero (energy only falls, so once per agent).  Coincident-pair events come
 from the snapshot's edge flags, so lab.sweep's stacked cells, one World
-whose snapshot covers only pairs within a cell, take the same step().
+whose snapshot has one segment of rows per cell, take the same step().
 Each stage reproduces the per-agent functions bit for bit.
 
 Determinism holds for a fixed (config, seed): each agent's start comes
@@ -270,7 +270,7 @@ def _forces(world: World, snap: Snapshot) -> np.ndarray:
     cs = cfg.cucker_smale
     if cs is not None:
         # Row i sums over j in index order, as cucker_smale_acceleration(i) does.
-        v, (rows, cols) = world.velocities, _upper_pairs(len(world.velocities))
+        v, (rows, cols) = world.velocities, _upper_pairs((len(world.velocities),))
         dist = np.zeros((len(v), len(v)))
         dist[rows, cols] = dist[cols, rows] = snap.distances
         w = cs.k_gain / (cs.sigma_cs**2 + dist) ** cs.gamma
@@ -293,7 +293,7 @@ def integrate(positions: np.ndarray, velocities: np.ndarray, acc: np.ndarray,
     stacked sweep cell integrates as its own run would."""
     limit = params.v_max / params.t_vmax
     norm = _row_norms(acc)
-    over = np.flatnonzero(norm > limit)
+    over = (norm > limit).nonzero()[0]
     if over.size:
         acc[over] = (limit.take(over) / norm.take(over))[:, None] * acc.take(over, axis=0)
 
@@ -304,7 +304,7 @@ def integrate(positions: np.ndarray, velocities: np.ndarray, acc: np.ndarray,
     # are saturate_velocity's, with math.tanh (np.tanh can differ in the
     # last bit).
     speed = _row_norms(velocities)
-    over = np.flatnonzero(speed > params.v_max)
+    over = (speed > params.v_max).nonzero()[0]
     if over.size:
         s, v_max = speed.take(over), params.v_max.take(over)
         scale = v_max * np.fromiter(map(math.tanh, (s / v_max).tolist()), float, over.size) / s
@@ -318,7 +318,7 @@ def step(world: World, snapshot: Snapshot | None = None) -> World:
 
     ``snapshot`` is graph.snapshot_of of the world's state and params, if
     the caller has it (run shares it with the snapshot's metrics; lab.sweep
-    passes one over its cells' candidate pairs).  A non-finite force raises
+    passes one with a segment per cell).  A non-finite force raises
     SimulationNumericsError before integration, naming its lowest agent; a
     non-finite state raises it after the step, naming every such agent.
     """
@@ -332,8 +332,8 @@ def step(world: World, snapshot: Snapshot | None = None) -> World:
         snap = snap.reweighted(world.params)
 
     # One event per pair with a coincident edge, (lower, higher) ascending.
-    e = np.flatnonzero(~snap.pos_valid)
-    edges = zip(snap.graph.sources[e].tolist(), snap.graph.receivers[e].tolist())
+    e = (~snap.pos_valid).nonzero()[0]
+    edges = zip(snap.graph.sources.take(e).tolist(), snap.graph.receivers.take(e).tolist())
     for pair in sorted({tuple(sorted(edge)) for edge in edges}):
         world.events.append(Event(
             step=world.step_index + 1, time=world.time, kind="coincident_pair",

@@ -13,16 +13,16 @@ per-agent law does not contain; the in-edge restriction makes the global
 product reproduce the per-agent sums exactly (see global_rhs).
 
 A Snapshot (snapshot_of) is one state's record: pairwise distances (each pair
-i < j once, row by row, or each candidate pair of stacked independent cells),
-the neighbor graph (a receiver-sorted edge list) and edge lengths taken from
-them, a params table and the edge terms for it.  The force kernel
-interaction_accelerations, edge_errors, global_rhs and lyapunov_monitor read
-it; Snapshot.reweighted recomputes only the offset weights for a new table.
-Products and quadratic forms are evaluated edge-wise at every n; only
-stability_matrices forms dense (Kronecker) matrices, kept as the reference
-for tests.  The kernel and the distances reproduce the per-agent core
-functions bit for bit.  The monitor's spanning-tree check is NumPy
-reachability.
+i < j within a segment of rows once, row by row; a run is one segment, each
+stacked sweep cell one), the neighbor graph (a receiver-sorted edge list) and
+edge lengths taken from them, a params table and the edge terms for it.  The
+force kernel interaction_accelerations, edge_errors, global_rhs and
+lyapunov_monitor read it; Snapshot.reweighted recomputes only the offset
+weights for a new table.  Products and quadratic forms are evaluated
+edge-wise at every n; only stability_matrices forms dense (Kronecker)
+matrices, kept as the reference for tests.  The kernel and the distances
+reproduce the per-agent core functions bit for bit.  The monitor's
+spanning-tree check is NumPy reachability.
 """
 
 from __future__ import annotations
@@ -131,10 +131,9 @@ class EdgeErrors:
 
 
 class Snapshot(NamedTuple):
-    """Distances (_distances' condensed vector, one per candidate pair of
-    build_graph's ``pairs``, or None), graph, params table and per edge
-    dp = p_j - p_i, dv, their norms, guard flags (valid at and above EPS_POS,
-    EPS_VEL) and offset weights (0 off-guard)."""
+    """Distances (_distances' condensed vector, or None), graph, params table
+    and per edge dp = p_j - p_i, dv, their norms, guard flags (valid at and
+    above EPS_POS, EPS_VEL) and offset weights (0 off-guard)."""
 
     distances: np.ndarray | None
     graph: InteractionGraph
@@ -159,35 +158,31 @@ class Snapshot(NamedTuple):
         return self._replace(params=p, w_pos=w_pos, w_vel=w_vel)
 
 
-def build_graph(positions: np.ndarray, params, pairs=None) -> InteractionGraph:
+def build_graph(positions: np.ndarray, params, sizes=None) -> InteractionGraph:
     """Directed edge (j, i) for every j in agent i's neighborhood.
 
-    ``pairs`` = (sources, receivers), sorted by (receiver, source), may list
-    the only candidate edges, e.g. the pairs within each of several stacked
-    cells.
+    ``sizes``, a tuple of segment lengths summing to the row count (default:
+    one segment of all rows), splits the agents into independent groups, e.g.
+    a sweep's stacked cells: no edge joins two segments.
     """
-    positions = np.asarray(positions, dtype=float)
-    return _edges(_distances(positions, pairs), agent_params(params, len(positions)).radius,
-                  pairs)[0]
+    radius = agent_params(params, len(positions)).radius
+    return _edges(_distances(np.asarray(positions, dtype=float), sizes), radius, sizes)[0]
 
 
-def _edges(distances: np.ndarray, radius: np.ndarray, pairs=None):
+def _edges(distances: np.ndarray, radius: np.ndarray, sizes=None):
     """(build_graph's graph, each edge's distance) from the _distances of
-    ``pairs`` or, without them, of the pairs i < j: edge j -> i where a pair
-    lies within radius[i], i -> j where within radius[j]."""
+    ``sizes``: edge j -> i where a pair lies within radius[i], i -> j where
+    within radius[j]."""
     n = radius.shape[0]
-    if pairs is not None:
-        edges = np.flatnonzero(distances <= radius.take(pairs[1]))  # sorted, as the candidates
-        return InteractionGraph(n, *(x.take(edges) for x in pairs)), distances.take(edges)
     near = (distances <= np.maximum.reduce(radius, initial=0.0)).nonzero()[0]
-    i, j, d = (x.take(near) for x in (*_upper_pairs(n), distances))
-    # Sources below each receiver first, each part ascending: a stable sort by receiver
-    # orders by (receiver, source).  NumPy radix-sorts 8- and 16-bit ints (~0.4x int64's time).
-    receivers, d = np.concatenate([j, i]), np.concatenate([d, d])
-    order = receivers.astype(np.min_scalar_type(n)).argsort(kind="stable")
-    order = order[(d <= radius.take(receivers)).take(order)]  # within the receiver's radius
-    return (InteractionGraph(n, np.concatenate([i, j]).take(order), receivers.take(order)),
-            d.take(order))
+    ij = _upper_pairs((n,) if sizes is None else sizes).take(near, axis=1)
+    d, ji = distances.take(near), ij[::-1].copy()
+    # Flat, ji holds each near pair's receiver j (source i < j), then its receiver i (j > i): a
+    # stable sort by receiver (8/16-bit keys radix-sort in ~0.4x int64's time) orders edges by
+    # (receiver, source).  Flat entry k + K is pair k's again.
+    kept = (d <= radius.take(ji)).ravel().nonzero()[0]  # within the receiver's radius
+    kept = kept.take(ji.take(kept).astype(np.min_scalar_type(n)).argsort(kind="stable"))
+    return InteractionGraph(n, ij.take(kept), ji.take(kept)), d.take(kept, mode="wrap")
 
 
 # Pairs per chunk of the distance pass.  Per call at n=300, 2-D / 3-D: ~230 / 330 us
@@ -196,21 +191,26 @@ _CHUNK = 1 << 13
 
 
 @functools.lru_cache(maxsize=1)
-def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(i, j) of every pair i < j of n agents, row by row.  Cached for one n
-    at a time: building them costs more than the gathers that read them, and
-    they hold 16 bytes per pair."""
-    rows, cols = np.triu_indices(n, 1)
-    rows.flags.writeable = cols.flags.writeable = False
-    return rows, cols
+def _upper_pairs(sizes: tuple[int, ...]) -> np.ndarray:
+    """(2, P) rows i and j of every pair i < j within each segment of
+    ``sizes`` consecutive rows, segment by segment, row by row; a run is one
+    segment (n,).  Cached for one layout at a time: building them costs more
+    than the gathers that read them, and they hold 16 bytes per pair."""
+    later = np.repeat(np.cumsum(sizes, dtype=np.intp), sizes) - np.arange(sum(sizes)) - 1
+    rows = np.arange(later.size)  # row r pairs with the later[r] rows after it in its segment
+    pairs = np.repeat([rows, rows + 1 + later - np.cumsum(later)], later, axis=1)
+    pairs[1] += np.arange(pairs.shape[1])  # j = r + 1 + the pair's rank within row r
+    pairs.flags.writeable = False
+    return pairs
 
 
-def _distances(positions: np.ndarray, pairs=None) -> np.ndarray:
-    """The distance of each pair in ``pairs`` = (sources, receivers), or of each
-    pair i < j row by row: squares summed axis by axis, then sqrt.  Temporaries
-    hold one chunk of pairs, so none grows with n**2."""
+def _distances(positions: np.ndarray, sizes=None) -> np.ndarray:
+    """The distance of each pair i < j within each segment of ``sizes`` rows,
+    as in build_graph, segment by segment and row by row (pdist's order within
+    a segment): squares summed axis by axis, then sqrt.  Temporaries hold one
+    chunk of pairs, so none grows with n**2."""
     n, m = positions.shape
-    rows, cols = _upper_pairs(n) if pairs is None else pairs
+    rows, cols = _upper_pairs((n,) if sizes is None else sizes)
     # Rows padded with zeros to 2**k >= 2 columns: take copies those fastest (3-D rows padded to
     # 4 gather in ~0.6x the time), and adding a zero column changes no sum.
     width = 1 << max(m - 1, 1).bit_length()
@@ -233,11 +233,11 @@ def _distances(positions: np.ndarray, pairs=None) -> np.ndarray:
     return out
 
 
-def snapshot_of(positions: np.ndarray, velocities: np.ndarray, params, pairs=None) -> Snapshot:
-    """The Snapshot of a state; ``pairs`` as in build_graph."""
+def snapshot_of(positions: np.ndarray, velocities: np.ndarray, params, sizes=None) -> Snapshot:
+    """The Snapshot of a state; ``sizes`` as in build_graph."""
     p = agent_params(params, len(positions))
-    dist = _distances(np.asarray(positions, dtype=float), pairs)
-    g, lengths = _edges(dist, p.radius, pairs)
+    dist = _distances(np.asarray(positions, dtype=float), sizes)
+    g, lengths = _edges(dist, p.radius, sizes)
     return _edge_terms(g, positions, velocities, p, dist, lengths)
 
 
@@ -278,8 +278,10 @@ def _edge_terms(g: InteractionGraph, positions: np.ndarray, velocities: np.ndarr
 
 def _segment_sums(receivers: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
     """(n, m) sums of the rows of x per receiver; bincount adds in row order."""
-    return np.column_stack([np.bincount(receivers, weights=x[:, c], minlength=n)
-                            for c in range(x.shape[1])])
+    out = np.empty((n, x.shape[1]))
+    for c in range(x.shape[1]):
+        out[:, c] = np.bincount(receivers, weights=x[:, c], minlength=n)
+    return out
 
 
 def interaction_accelerations(s: Snapshot) -> np.ndarray:
@@ -290,16 +292,15 @@ def interaction_accelerations(s: Snapshot) -> np.ndarray:
     g, p = s.graph, s.params
     n, m = g.n_nodes, s.dp.shape[1]
     agg, deg = (1.0 - s.w_pos)[:, None] * s.dp, g.in_degrees()
-    for e in np.flatnonzero(~s.pos_valid).tolist():  # sets every guard row
+    for e in (~s.pos_valid).nonzero()[0].tolist():  # sets every guard row
         i, j = int(g.receivers[e]), int(g.sources[e])
         w = psi_weight(EPS_POS, float(p.delta[i]), int(deg[i]), float(p.alpha[i]))
         agg[e] = w * _tie_break_direction(i, j, m)
     ali = (1.0 - s.w_vel)[:, None] * s.dv
     ali[~s.vel_valid] = 0.0
     total = _segment_sums(g.receivers, agg, n) + _segment_sums(g.receivers, ali, n)
-    bad = ~np.isfinite(total).all(axis=1)
-    if bad.any():
-        i = int(np.argmax(bad))
+    if not np.isfinite(total).all():
+        i = int(np.argmax(~np.isfinite(total).all(axis=1)))
         edges = np.flatnonzero(g.receivers == i)
         rows = ~np.isfinite(agg[edges] + ali[edges]).all(axis=1)
         raise PairNumericsError(i, int(g.sources[edges[np.argmax(rows)]]))

@@ -189,9 +189,9 @@ class _CellStack:
     config has the spec's dt and duration and n equal to its live row
     count: stacked cell k is grid cell ids[k] (its index in ``cells``) and
     owns rows starts[k]:starts[k] + sizes[k] of the world's positions,
-    velocities and every params column.  ``pairs`` = (sources, receivers)
-    lists every ordered pair of distinct rows within a cell, sorted by
-    (receiver, source); cell k's pairs start at segments[k].  Each (n, seed)
+    velocities and every params column.  A snapshot of the world with
+    ``sizes`` as its segments (graph.build_graph) has no pair across cells,
+    and cell k's n(n - 1)/2 distances start at segments[k].  Each (n, seed)
     start is initialized once (delta and eta only fill a cell's params), from
     one spawned_draws per seed at the largest n: its first n rows are the
     n-agent draw."""
@@ -215,12 +215,8 @@ class _CellStack:
 
     def _index(self):
         self.starts = np.cumsum(self.sizes) - self.sizes
-        counts = self.sizes * (self.sizes - 1)
+        counts = self.sizes * (self.sizes - 1) // 2
         self.segments = np.cumsum(counts) - counts
-        receivers, sources = np.concatenate(
-            [np.empty((2, 0), dtype=np.intp)] + [np.array(np.nonzero(~np.eye(n, dtype=bool))) + lo
-                                                 for lo, n in zip(self.starts, self.sizes)], axis=1)
-        self.pairs = (sources, receivers)
 
     def drop(self, exc: SimulationNumericsError, failures: dict) -> None:
         """Fail each cell owning one of the stacked rows ``exc.agents`` at its
@@ -249,22 +245,22 @@ def sweep(spec: SweepSpec) -> tuple[list[SweepRow], list[str]]:
     Every cell starts from engine.initialize of its n and seed (one raw
     draw per seed), with its own delta and eta; then all cells, which share
     dt and duration, advance in lockstep as one World in grid order.  Each
-    snapshot is the graph.Snapshot over the stack's candidate pairs (the
-    distinct pairs within each cell; a cell's minimum pair distance reduces
-    its segment), and engine.step advances the stack on it as on a single
-    run.  Rows and failure messages are byte-identical to one engine.run per
-    cell.  A cell whose forces or state turn non-finite fails at that step,
-    naming its own agent index, and leaves the stack; the others go on
-    (after a force failure, the same step again without that cell).
+    snapshot is the graph.Snapshot of the stack, a segment per cell (each
+    pair within a cell once; a cell's minimum pair distance reduces its
+    part), and engine.step advances the stack on it as on a single run.
+    Rows and failure messages are byte-identical to one engine.run per cell.
+    A cell whose forces or state turn non-finite fails at that step, naming
+    its own agent index, and leaves the stack; the others go on (after a
+    force failure, the same step again without that cell).
 
     Cell order (and therefore row and failure order) is eta-major, then
     n, then delta, then seed.  ConfigError, before any cell exists, if the
     grid needs more bytes than the machine's physical memory.
     """
     # Bytes held at least: 80 per cell (its grid tuple and list slot) and 24
-    # per ordered pair within a cell (two stacked pair indices, a distance).
+    # per pair i < j within a cell (two int64 pair indices, a float64 distance).
     runs = len(spec.etas) * len(spec.deltas) * spec.seeds
-    need = runs * sum(80 + 24 * n * (n - 1) for n in spec.ns)
+    need = runs * sum(80 + 12 * n * (n - 1) for n in spec.ns)
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > have:
         raise ConfigError(f"cannot hold a sweep of {runs * len(spec.ns)} cells: it needs at "
@@ -275,7 +271,8 @@ def sweep(spec: SweepSpec) -> tuple[list[SweepRow], list[str]]:
     d_min = np.full(len(cells), np.inf)
     failed: dict[int, SimulationNumericsError] = {}
     while stack.ids.size:
-        snap = snapshot_of(world.positions, world.velocities, world.params, pairs=stack.pairs)
+        snap = snapshot_of(world.positions, world.velocities, world.params,
+                           sizes=tuple(stack.sizes.tolist()))
         np.minimum.at(d_min, stack.ids, np.minimum.reduceat(snap.distances, stack.segments))
         if world.step_index == world.config.n_steps:
             break

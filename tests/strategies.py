@@ -105,13 +105,13 @@ def mask_edges(positions, radii):
 
 
 def cell_pairs(sizes):
-    """(sources, receivers) of every ordered pair of distinct rows within each
-    of the stacked cells of ``sizes``, by (receiver, source), written as loops."""
+    """(2, P) rows i and j of every pair i < j within each of the stacked
+    cells of ``sizes``, cell by cell and row by row, written as loops."""
     pairs, lo = [], 0
     for n in sizes:
-        pairs += [(j, i) for i in range(lo, lo + n) for j in range(lo, lo + n) if j != i]
+        pairs += [(i, j) for i in range(lo, lo + n) for j in range(i + 1, lo + n)]
         lo += n
-    return tuple(np.array(pairs, dtype=np.intp).reshape(-1, 2).T.copy())
+    return np.array(pairs, dtype=np.intp).reshape(-1, 2).T.copy()
 
 
 @st.composite

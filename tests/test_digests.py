@@ -139,6 +139,31 @@ def test_outputs_match_recorded_digests(tmp_path):
     assert not moved, f"{len(moved)} artifact(s) moved: {', '.join(moved)}{note}"
 
 
+def test_runs_around_a_sweep_match_their_digests(tmp_path):
+    # The pair layout cache holds one entry, a run's (n,) or a sweep's cell
+    # sizes: a run after a sweep rebuilds its own (the Cucker-Smale law reads
+    # it too), so runs before and after a sweep match their digests.  A run
+    # of as many agents as the sweep has rows gives the same bytes on both
+    # sides, and must not hand the sweep its layout either.
+    want = json.loads(DIGESTS.read_text())["artifacts"]
+    spec = _small_sweep(1)
+    rows_n = len(spec.etas) * sum(spec.ns)
+    wide = dataclasses.replace(lab.preset("flocking-fig2a").config, n=rows_n, duration=1.0)
+
+    def runs(tag):
+        out = {}
+        for name in ("cucker-smale-baseline", "flocking-fig2a"):
+            traj = engine.run(lab.preset(name).config)
+            out.update(_run_artifacts(f"preset:{name}", traj, tmp_path / tag))
+        return out, _sha(engine.run(wide).positions)
+
+    before = runs("before")
+    rows, failures = lab.sweep(spec)
+    assert _sha(repr(rows).encode(), repr(failures).encode()) == want["small-sweep:seed1"]
+    assert runs("after") == before
+    assert before[0] == {key: want[key] for key in before[0]}
+
+
 if __name__ == "__main__":
     import tempfile
 

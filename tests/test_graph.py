@@ -12,7 +12,7 @@ import logging
 
 import numpy as np
 import pytest
-from scipy.spatial.distance import cdist, pdist
+from scipy.spatial.distance import pdist
 
 from flocksim import (
     EPS_POS,
@@ -40,7 +40,7 @@ from flocksim.graph import (
     snapshot_of,
     stability_matrices,
 )
-from strategies import cell_pairs, edge_list_graph, rooted_by_laplacian_rank
+from strategies import cell_pairs, edge_list_graph, mask_edges, rooted_by_laplacian_rank
 
 
 def _two_node_state():
@@ -122,17 +122,22 @@ def test_condensed_distances_are_pdists_bit_for_bit(n, m):
 
 
 def test_candidate_distances_span_chunks():
-    # More candidate pairs than several chunks of the distance pass: each
-    # distance is still cdist's, across the chunk boundaries too.
+    # More pairs within cells than two chunks of the distance pass: each
+    # distance is still its cell's pdist, across the chunk boundaries too, and
+    # the edges are each cell's mask, offset by its first row.
     rng = np.random.default_rng(5)
     sizes = (130, 2, 130)
     cells = [rng.uniform(0.0, 40.0, (n, 3)) for n in sizes]
-    pos, pairs = np.concatenate(cells), cell_pairs(sizes)
-    assert pairs[0].size > 4 * _CHUNK
-    snap = snapshot_of(pos, pos[::-1].copy(), InteractionParams(radius=8.0), pairs=pairs)
-    want = np.concatenate([cdist(c, c)[~np.eye(len(c), dtype=bool)] for c in cells])
-    assert snap.distances.tobytes() == want.tobytes()
-    assert np.array_equal(snap.graph.receivers, pairs[1][snap.distances <= 8.0])
+    pos = np.concatenate(cells)
+    assert cell_pairs(sizes).shape[1] > 2 * _CHUNK
+    snap = snapshot_of(pos, pos[::-1].copy(), InteractionParams(radius=8.0), sizes=sizes)
+    assert snap.distances.tobytes() == np.concatenate([pdist(c) for c in cells]).tobytes()
+    edges, lo = [], 0
+    for c in cells:
+        sources, receivers = mask_edges(c, [8.0] * len(c))
+        edges += list(zip((sources + lo).tolist(), (receivers + lo).tolist()))
+        lo += len(c)
+    assert list(snap.graph.edges) == edges
 
 
 def test_laplacian_is_psd_with_zero_row_sums():

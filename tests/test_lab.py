@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import math
+import os
 from itertools import product
 
 import numpy as np
@@ -29,7 +30,7 @@ from flocksim import (
     save_config,
     sweep,
 )
-from flocksim import engine, lab
+from flocksim import engine, graph, lab
 from flocksim.core import PairNumericsError
 from flocksim.engine import SimulationNumericsError
 from flocksim.lab import (
@@ -177,6 +178,32 @@ def test_sweep_refuses_a_grid_it_cannot_hold(monkeypatch):
             sweep(spec)
 
 
+def test_sweep_memory_bound_is_exact(monkeypatch):
+    # The bound counts 80 bytes per cell and 24 per pair i < j within it: a
+    # machine of exactly that many bytes runs the grid, one byte less refuses
+    # it before the grid is built.
+    spec = SweepSpec(etas=(3.0, 5.0), ns=(2, 4), seeds=2, duration=0.2)
+    need = 2 * 2 * ((80 + 24 * 1) + (80 + 24 * 6))
+
+    def machine(have):
+        sizes = {"SC_PHYS_PAGES": have, "SC_PAGE_SIZE": 1}
+        monkeypatch.setattr(os, "sysconf", sizes.__getitem__)
+
+    machine(need)
+    rows, failures = sweep(spec)
+    assert len(rows) == 8 and failures == []
+
+    def no_grid(*axes, **kwargs):
+        raise AssertionError("grid built")
+
+    machine(need - 1)
+    monkeypatch.setattr(lab, "product", no_grid)
+    with pytest.raises(ConfigError) as exc:
+        sweep(spec)
+    assert str(exc.value) == (f"cannot hold a sweep of 8 cells: it needs at least {need} "
+                              f"bytes, the machine has {need - 1}")
+
+
 def test_sweep_runs_grid_in_order():
     spec = SweepSpec(etas=(3.0, 13.0), ns=(2, 3), seeds=2, duration=1.0)
     rows, failures = sweep(spec)
@@ -295,18 +322,17 @@ def test_sweep_initializes_each_start_once(monkeypatch):
 
 
 def test_cell_stack_pairs_follow_drops():
-    # The candidate pairs and their per-cell segments are rebuilt when cells
-    # leave the stack, down to an empty stack.
+    # The pairs of the stack's segments (one per cell) and each cell's first
+    # pair follow the cells that leave the stack, down to an empty stack.
     spec = SweepSpec(etas=(1.0, 2.0), ns=(3, 2, 4), seeds=2, duration=1.0)
     cells = list(product(spec.etas, spec.ns, spec.deltas, range(spec.seeds)))
     stack = lab._CellStack(cells, spec)
     failed = {}
     while True:
         sizes = stack.sizes.tolist()
-        src, rcv = stack.pairs
-        want = cell_pairs(sizes)
-        assert src.tobytes() == want[0].tobytes() and rcv.tobytes() == want[1].tobytes()
-        counts = [n * (n - 1) for n in sizes]
+        pairs, want = graph._upper_pairs(tuple(sizes)), cell_pairs(sizes)
+        assert pairs.shape == want.shape and pairs.tobytes() == want.tobytes()
+        counts = [n * (n - 1) // 2 for n in sizes]
         assert stack.segments.tolist() == np.cumsum([0] + counts)[:-1].tolist()
         assert stack.world.positions.shape[0] == sum(sizes) == stack.world.params.delta.shape[0]
         if not sizes:

@@ -88,8 +88,8 @@ def test_kernel_and_global_rhs_equal_per_agent_law(state):
 @fixed(30)
 @given(strategies.cells())
 def test_build_graph_dense_and_stacked_equal_neighborhoods(cells):
-    # Each cell's own graph, then the cells stacked over their candidate pairs:
-    # edges, cdist's distances and the force kernel, cell by cell.
+    # Each cell's own graph, then the cells stacked with one segment each:
+    # edges, pdist's distances and the force kernel, cell by cell.
     edges, accelerations, distances, lo = [], [], [], 0
     for c in cells:
         radii = [p.radius for p in c.params]
@@ -99,33 +99,43 @@ def test_build_graph_dense_and_stacked_equal_neighborhoods(cells):
         assert g.sources.dtype == g.receivers.dtype == np.intp and list(g.edges) == own
         edges += [(j + lo, i + lo) for j, i in own]
         accelerations.append(_per_agent(c, nbrs))
-        n = len(c.positions)
-        distances.append(cdist(c.positions, c.positions)[~np.eye(n, dtype=bool)])
-        lo += n
+        distances.append(pdist(c.positions))
+        lo += len(c.positions)
     pos, vel = (np.concatenate([c[k] for c in cells]) for k in (0, 1))
     params = [p for c in cells for p in c.params]
-    pairs = strategies.cell_pairs([len(c.positions) for c in cells])
-    assert list(build_graph(pos, params, pairs=pairs).edges) == edges
-    snap = snapshot_of(pos, vel, params, pairs=pairs)
+    sizes = tuple(len(c.positions) for c in cells)
+    assert list(build_graph(pos, params, sizes=sizes).edges) == edges
+    snap = snapshot_of(pos, vel, params, sizes=sizes)
     assert list(snap.graph.edges) == edges
     assert snap.distances.tobytes() == np.concatenate(distances).tobytes()
     assert interaction_accelerations(snap).tobytes() == np.concatenate(accelerations).tobytes()
 
 
-@fixed(40)
-@given(strategies.states(max_n=150))
-def test_snapshot_edges_equal_the_distance_mask(state):
-    # One condensed pass at up to 150 agents: the edges of the dense mask, with
-    # per-agent radii, exact-radius pairs and coincident agents; each edge's
-    # length is cdist's, and the snapshot's distances are pdist's.
-    pos, vel, params = state
-    sources, receivers = strategies.mask_edges(pos, [p.radius for p in params])
+@fixed(60)
+@given(strategies.states(max_n=150).map(lambda s: [s]) | strategies.cells())
+def test_snapshot_edges_equal_the_distance_mask(cells):
+    # One condensed pass over one state of up to 150 agents, or over stacked
+    # cells with one segment each: the edges of each cell's dense mask, offset
+    # by the cell's first row, and none across cells, with per-agent radii,
+    # exact-radius pairs and coincident agents; each edge's length is cdist's,
+    # and the snapshot's distances are each cell's pdist.
+    sources, receivers, lengths, lo = [], [], [], 0
+    for pos, _, params in cells:
+        src, rcv = strategies.mask_edges(pos, [p.radius for p in params])
+        sources.append(src + lo)
+        receivers.append(rcv + lo)
+        lengths.append(cdist(pos, pos)[rcv, src])
+        lo += len(pos)
+    sizes = tuple(len(c.positions) for c in cells)
+    pos, vel = (np.concatenate([c[k] for c in cells]) for k in (0, 1))
     with np.errstate(all="ignore"):
-        snap = snapshot_of(pos, vel, params)
-    assert np.array_equal(snap.graph.sources, sources)
-    assert np.array_equal(snap.graph.receivers, receivers)
-    assert snap.dp_norm.tobytes() == cdist(pos, pos)[receivers, sources].tobytes()
-    assert snap.distances.tobytes() == pdist(pos).tobytes()
+        snap = snapshot_of(pos, vel, [p for c in cells for p in c.params], sizes=sizes)
+    cell = np.repeat(np.arange(len(cells)), sizes)
+    assert np.array_equal(cell[snap.graph.sources], cell[snap.graph.receivers])
+    assert np.array_equal(snap.graph.sources, np.concatenate(sources))
+    assert np.array_equal(snap.graph.receivers, np.concatenate(receivers))
+    assert snap.dp_norm.tobytes() == np.concatenate(lengths).tobytes()
+    assert snap.distances.tobytes() == np.concatenate([pdist(c.positions) for c in cells]).tobytes()
 
 
 def _apart(x, i, j):
