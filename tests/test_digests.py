@@ -4,15 +4,17 @@ One test recomputes sha256 digests of fixed runs, sweeps and exports and
 compares them with ``tests/digests.json``: the eight presets' exports (the
 two that cost more than 0.3 s shortened), three seeds of a small sweep, a
 cluttered adaptive run with its exports and Lyapunov monitor reports, a
-large plain run's arrays, a 3-D run with per-agent radii, a reduced
-phase-fig5 grid and the event log of a run with coincident pairs and
-negative energies.  The inputs mirror the benchmark's workload configs but
-are built here, so a benchmark change cannot move them.
+large plain run's arrays and metrics, the metrics of its 3-D twin, a 3-D
+run with per-agent radii, a reduced phase-fig5 grid and the event log of a
+run with coincident pairs and negative energies.  The inputs mirror the
+benchmark's workload configs but are built here, so a benchmark change
+cannot move them.
 
 The digests are bitwise, so they depend on the NumPy and Python versions
 recorded with them.  After a change that is meant to move outputs,
-regenerate the file with ``PYTHONPATH=src python tests/test_digests.py``
-and name the moved artifacts in the change's notes.
+regenerate the file with ``PYTHONPATH=src python tests/test_digests.py --write``
+and name the moved artifacts in the change's notes; any other argument
+prints the usage and exits with code 2, leaving the file as it is.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import hashlib
 import json
 import platform
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +35,7 @@ from flocksim.core import InteractionParams
 from flocksim.environment import ObstacleSpec, TargetSpec
 
 DIGESTS = Path(__file__).with_name("digests.json")
+USAGE = "usage: PYTHONPATH=src python tests/test_digests.py --write"
 
 # Presets whose full run and export cost more than 0.3 s, with the duration
 # they run for here.
@@ -94,10 +98,16 @@ def artifacts(out_dir: Path) -> dict[str, str]:
             reports.append(repr(exc))
     out["nav-adapt:seed1/monitors"] = _sha(repr(reports).encode())
 
-    traj = engine.run(engine.SimConfig(
-        n=300, duration=2.0, seed=1, init_pos_range=(0.0, 75.0), init_vel_range=(-1.0, 1.0),
-        params=InteractionParams(delta=1.0, eta=3.0, radius=10.0)))
-    out["large-flock:seed1"] = _sha(traj.times, traj.positions, traj.velocities)
+    # The 3-D twin's cube has the square's expected neighbour count:
+    # 300 * (4/3) pi r**3 / L**3 = 300 * pi r**2 / 75**2 gives L**3 = 75000.
+    for tag, m, side in (("", 2, 75.0), ("-3d", 3, 42.17)):
+        traj = engine.run(engine.SimConfig(
+            n=300, m=m, duration=2.0, seed=1, init_pos_range=(0.0, side),
+            init_vel_range=(-1.0, 1.0), params=InteractionParams(delta=1.0, eta=3.0, radius=10.0)))
+        if not tag:
+            out["large-flock:seed1"] = _sha(traj.times, traj.positions, traj.velocities)
+        lab.write_metrics_csv(traj, out_dir / "metrics.csv")
+        out[f"large-flock{tag}:seed1/metrics.csv"] = _sha((out_dir / "metrics.csv").read_bytes())
 
     radii = np.random.default_rng(4).uniform(1.5, 6.0, 16).tolist()
     out.update(_run_artifacts("3d-radii", engine.run(engine.SimConfig(
@@ -164,10 +174,30 @@ def test_runs_around_a_sweep_match_their_digests(tmp_path):
     assert before[0] == {key: want[key] for key in before[0]}
 
 
-if __name__ == "__main__":
-    import tempfile
-
+def main(argv: list[str], path: Path = DIGESTS) -> int:
+    """Rewrite ``path`` from the current tree when ``argv`` is exactly
+    ``["--write"]``; otherwise print the usage and return 2, writing nothing."""
+    if argv != ["--write"]:
+        print(USAGE, file=sys.stderr)
+        return 2
     with tempfile.TemporaryDirectory() as tmp:
         doc = {"versions": versions(), "artifacts": artifacts(Path(tmp))}
-    DIGESTS.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(doc['artifacts'])} digests to {DIGESTS}", file=sys.stderr)
+    path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(doc['artifacts'])} digests to {path}", file=sys.stderr)
+    return 0
+
+
+def test_main_writes_only_on_explicit_flag(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "digests.json"
+    path.write_bytes(DIGESTS.read_bytes())
+    for argv in ([], ["--help"], ["-h"], ["--write", "extra"], ["write"], ["--writ"]):
+        assert main(argv, path) == 2
+        assert path.read_bytes() == DIGESTS.read_bytes()
+        assert capsys.readouterr().err == USAGE + "\n"
+    monkeypatch.setattr(sys.modules[__name__], "artifacts", lambda out_dir: {"a": "0"})
+    assert main(["--write"], path) == 0
+    assert json.loads(path.read_text()) == {"versions": versions(), "artifacts": {"a": "0"}}
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

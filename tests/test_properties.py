@@ -149,8 +149,12 @@ def _apart(x, i, j):
 @fixed(60)
 @given(strategies.states())
 def test_edge_errors_equal_offset_residuals(state):
+    _check_edge_errors(state, _neighborhoods(state))
+
+
+def _check_edge_errors(state, nbrs):
+    """edge_errors of ``state`` against offset_vectors residuals, edge by edge."""
     pos, vel, params = state
-    nbrs = _neighborhoods(state)
     n, m = pos.shape
     edges = [(j, i) for i, nb in enumerate(nbrs) for j in nb.members]
     with np.errstate(all="ignore"):
@@ -174,6 +178,42 @@ def test_edge_errors_equal_offset_residuals(state):
             has = count > 0
             assert np.isnan(mean[~has]).all()
             assert mean[has].tobytes() == (total[has] / count[has, None]).tobytes()
+
+
+def _large_state(m, plant):
+    """300 agents at the large-flock density (in 3-D, a cube of the same
+    expected neighbour count), one radius, a random delta/eta per agent, and
+    agent 0 and its nearest neighbour made coincident, of equal velocity, or
+    left as drawn."""
+    rng = np.random.default_rng(m)
+    pos = rng.uniform(0.0, 75.0 if m == 2 else 42.17, (300, m))
+    vel = rng.uniform(-1.0, 1.0, (300, m))
+    params = [InteractionParams(delta=d, eta=e, radius=10.0) for d, e in
+              zip(rng.uniform(0.5, 2.0, 300).tolist(), rng.uniform(3.0, 15.0, 300).tolist())]
+    j = int(np.argsort(np.linalg.norm(pos - pos[0], axis=1))[1])
+    if plant == "coincident":
+        pos[j] = pos[0]
+    elif plant == "equal-velocity":
+        vel[j] = vel[0]
+    return strategies.State(pos, vel, params), j
+
+
+@pytest.mark.parametrize("m", (2, 3))
+@pytest.mark.parametrize("plant", ("coincident", "equal-velocity", "regular"))
+def test_kernel_and_edge_errors_at_thousands_of_edges(plant, m):
+    # The guarded branch (one planted pair) and the all-regular one, at the
+    # edge counts of a large run.
+    state, j = _large_state(m, plant)
+    snap = snapshot_of(*state)
+    assert snap.graph.n_edges > 2500
+    pair = {(0, j), (j, 0)}
+    for valid, kind in ((snap.pos_valid, "coincident"), (snap.vel_valid, "equal-velocity")):
+        g = snap.graph
+        flagged = set(zip(g.sources[~valid].tolist(), g.receivers[~valid].tolist()))
+        assert flagged == (pair if plant == kind else set())
+    nbrs = _neighborhoods(state)
+    assert interaction_accelerations(snap).tobytes() == _per_agent(state, nbrs).tobytes()
+    _check_edge_errors(state, nbrs)
 
 
 @fixed(60)
