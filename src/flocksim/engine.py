@@ -363,8 +363,8 @@ def step(world: World, snapshot: Snapshot | None = None) -> World:
     world.time += cfg.dt
     world.step_index += 1
 
-    finite = np.isfinite(world.positions).all(axis=1) & np.isfinite(world.velocities).all(axis=1)
-    if not finite.all():
+    if not (np.isfinite(world.positions).all() and np.isfinite(world.velocities).all()):
+        finite = np.isfinite(world.positions).all(axis=1) & np.isfinite(world.velocities).all(axis=1)
         raise SimulationNumericsError(world.step_index, *np.flatnonzero(~finite).tolist())
     return world
 

@@ -16,13 +16,16 @@ A Snapshot (snapshot_of) is one state's record: pairwise distances (each pair
 i < j within a segment of rows once, row by row; a run is one segment, each
 stacked sweep cell one), the neighbor graph (a receiver-sorted edge list) and
 edge lengths taken from them, a params table and the edge terms for it.  The
-force kernel interaction_accelerations, edge_errors, global_rhs and
-lyapunov_monitor read it; Snapshot.reweighted recomputes only the offset
-weights for a new table.  Products and quadratic forms are evaluated
-edge-wise at every n; only stability_matrices forms dense (Kronecker)
-matrices, kept as the reference for tests.  The kernel and the distances
-reproduce the per-agent core functions bit for bit.  The monitor's
-spanning-tree check is NumPy reachability.
+edge differences are axis-major, (m, E): each per-edge product and each
+per-receiver bincount runs on one contiguous (E,) row, and the graph counts
+its in-degrees once.  When every edge is regular (outside both guard bands),
+the guard masks are skipped.  The force kernel interaction_accelerations,
+edge_errors, global_rhs and lyapunov_monitor read it; Snapshot.reweighted
+recomputes only the offset weights for a new table.  Products and quadratic
+forms are evaluated edge-wise at every n; only stability_matrices forms
+dense (Kronecker) matrices, kept as the reference for tests.  The kernel and
+the distances reproduce the per-agent core functions bit for bit.  The
+monitor's spanning-tree check is NumPy reachability.
 """
 
 from __future__ import annotations
@@ -85,7 +88,14 @@ class InteractionGraph:
 
     def in_degrees(self) -> np.ndarray:
         """Number of in-edges per node == |N_i| of the receiving agent."""
-        return np.bincount(self.receivers, minlength=self.n_nodes)
+        return self._degrees[0]
+
+    @functools.cached_property
+    def _degrees(self) -> tuple[np.ndarray, np.ndarray]:
+        """(in_degrees, each edge's receiver's in-degree as a float), counted once per graph."""
+        deg = np.bincount(self.receivers, minlength=self.n_nodes)
+        deg.flags.writeable = False
+        return deg, deg.astype(float).take(self.receivers)
 
 
 @dataclass(frozen=True)
@@ -131,15 +141,16 @@ class EdgeErrors:
 
 
 class Snapshot(NamedTuple):
-    """Distances (_distances' condensed vector, or None), graph, params table
-    and per edge dp = p_j - p_i, dv, their norms, guard flags (valid at and
-    above EPS_POS, EPS_VEL) and offset weights (0 off-guard)."""
+    """Distances (_distances' condensed vector, or None), graph, params table,
+    dp = p_j - p_i and dv axis-major, one contiguous (E,) row per axis, and per
+    edge their norms, guard flags (valid at and above EPS_POS, EPS_VEL) and
+    offset weights (0 off-guard)."""
 
     distances: np.ndarray | None
     graph: InteractionGraph
     params: AgentParams | None
-    dp: np.ndarray
-    dv: np.ndarray
+    dp: np.ndarray  # (m, E)
+    dv: np.ndarray  # (m, E)
     dp_norm: np.ndarray
     dv_norm: np.ndarray
     pos_valid: np.ndarray
@@ -150,12 +161,17 @@ class Snapshot(NamedTuple):
     def reweighted(self, params) -> Snapshot:
         """This snapshot under ``params`` (same radii): new offset weights only."""
         p, receivers = agent_params(params, self.graph.n_nodes), self.graph.receivers
-        deg = self.graph.in_degrees()[receivers]
-        w_pos = np.where(self.pos_valid, _power(p.delta[receivers] * deg / np.where(
+        deg = self.graph._degrees[1]
+        w_pos = _where(self.pos_valid, _power(p.delta[receivers] * deg / _where(
             self.pos_valid, self.dp_norm, 1.0), p.alpha, receivers), 0.0)
-        w_vel = np.where(self.vel_valid, _power(p.eta[receivers] / (deg * np.where(
+        w_vel = _where(self.vel_valid, _power(p.eta[receivers] / (deg * _where(
             self.vel_valid, self.dv_norm, 1.0)), p.beta, receivers), 0.0)
         return self._replace(params=p, w_pos=w_pos, w_vel=w_vel)
+
+
+def _where(valid: np.ndarray, x: np.ndarray, fill: float) -> np.ndarray:
+    """np.where(valid, x, fill), or x itself when every edge is valid."""
+    return x if valid.all() else np.where(valid, x, fill)
 
 
 def build_graph(positions: np.ndarray, params, sizes=None) -> InteractionGraph:
@@ -264,23 +280,21 @@ def _edge_terms(g: InteractionGraph, positions: np.ndarray, velocities: np.ndarr
                 params, distances=None, lengths=None) -> Snapshot:
     """The Snapshot of a state on the edges of ``g``, weighted for ``params``;
     ``lengths`` may carry each edge's _distances value, its dp's norm's bits."""
-    sources, receivers = g.sources, g.receivers
-    positions, velocities = np.asarray(positions, dtype=float), np.asarray(velocities, dtype=float)
-    dp = positions.take(sources, axis=0) - positions.take(receivers, axis=0)
-    dv = velocities.take(sources, axis=0) - velocities.take(receivers, axis=0)
+    dp, dv = (x.take(g.sources, axis=1) - x.take(g.receivers, axis=1) for x in (
+        np.asarray(positions, dtype=float).T.copy(), np.asarray(velocities, dtype=float).T.copy()))
     # np.linalg.norm(x, axis=1) is sqrt(add.reduce(x * x, axis=1)), which adds
-    # fewer than 8 terms left to right: summing the m columns gives its bits.
-    dvn = np.sqrt(sum((dv * dv).T))
-    dist = np.sqrt(sum((dp * dp).T)) if lengths is None else lengths
+    # fewer than 8 terms left to right: summing the m rows gives its bits.
+    dvn = np.sqrt(sum(dv * dv))
+    dist = np.sqrt(sum(dp * dp)) if lengths is None else lengths
     return Snapshot(distances, g, None, dp, dv, dist, dvn, dist >= EPS_POS,
                     dvn >= EPS_VEL).reweighted(params)
 
 
 def _segment_sums(receivers: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
-    """(n, m) sums of the rows of x per receiver; bincount adds in row order."""
-    out = np.empty((n, x.shape[1]))
-    for c in range(x.shape[1]):
-        out[:, c] = np.bincount(receivers, weights=x[:, c], minlength=n)
+    """(n, m) sums per receiver of the (m, E) rows of x; bincount adds in edge order."""
+    out = np.empty((n, x.shape[0]))
+    for c, row in enumerate(x):
+        out[:, c] = np.bincount(receivers, weights=row, minlength=n)
     return out
 
 
@@ -290,20 +304,21 @@ def interaction_accelerations(s: Snapshot) -> np.ndarray:
     branches and PairNumericsError (lowest agent first) included.
     Aggregation and alignment are summed separately in source order."""
     g, p = s.graph, s.params
-    n, m = g.n_nodes, s.dp.shape[1]
-    agg, deg = (1.0 - s.w_pos)[:, None] * s.dp, g.in_degrees()
-    for e in (~s.pos_valid).nonzero()[0].tolist():  # sets every guard row
+    n, m = g.n_nodes, s.dp.shape[0]
+    agg = (1.0 - s.w_pos) * s.dp
+    for e in (~s.pos_valid).nonzero()[0].tolist():  # sets every guard column
         i, j = int(g.receivers[e]), int(g.sources[e])
-        w = psi_weight(EPS_POS, float(p.delta[i]), int(deg[i]), float(p.alpha[i]))
-        agg[e] = w * _tie_break_direction(i, j, m)
-    ali = (1.0 - s.w_vel)[:, None] * s.dv
-    ali[~s.vel_valid] = 0.0
+        w = psi_weight(EPS_POS, float(p.delta[i]), int(g.in_degrees()[i]), float(p.alpha[i]))
+        agg[:, e] = w * _tie_break_direction(i, j, m)
+    ali = (1.0 - s.w_vel) * s.dv
+    if not s.vel_valid.all():
+        ali[:, ~s.vel_valid] = 0.0
     total = _segment_sums(g.receivers, agg, n) + _segment_sums(g.receivers, ali, n)
     if not np.isfinite(total).all():
         i = int(np.argmax(~np.isfinite(total).all(axis=1)))
         edges = np.flatnonzero(g.receivers == i)
-        rows = ~np.isfinite(agg[edges] + ali[edges]).all(axis=1)
-        raise PairNumericsError(i, int(g.sources[edges[np.argmax(rows)]]))
+        cols = ~np.isfinite(agg[:, edges] + ali[:, edges]).all(axis=0)
+        raise PairNumericsError(i, int(g.sources[edges[np.argmax(cols)]]))
     return total
 
 
@@ -314,10 +329,9 @@ def _frozen(s: Snapshot) -> tuple[WeightedIncidence, EdgeState]:
         if not valid.all():
             e = int(np.argmin(valid))
             raise OracleInapplicableError(int(s.graph.sources[e]), int(s.graph.receivers[e]), kind)
-    return (WeightedIncidence(dim=s.dp.shape[1], w_pos=s.w_pos, w_vel=s.w_vel),
-            EdgeState(e=s.dp.reshape(-1), e_dot=s.dv.reshape(-1),
-                      q=(s.w_pos[:, None] * s.dp).reshape(-1),
-                      q_tilde=(s.w_vel[:, None] * s.dv).reshape(-1)))
+    return (WeightedIncidence(dim=s.dp.shape[0], w_pos=s.w_pos, w_vel=s.w_vel),
+            EdgeState(e=s.dp.T.reshape(-1), e_dot=s.dv.T.reshape(-1),
+                      q=(s.w_pos * s.dp).T.reshape(-1), q_tilde=(s.w_vel * s.dv).T.reshape(-1)))
 
 
 def weighted_incidence(g: InteractionGraph, positions: np.ndarray,
@@ -351,19 +365,21 @@ def edge_errors(positions: np.ndarray, velocities: np.ndarray, params,
     ``snapshot`` may carry snapshot_of(positions, velocities, params)."""
     s = snapshot_of(positions, velocities, params) if snapshot is None else snapshot
     n, receivers = s.graph.n_nodes, s.graph.receivers
-    pos, vel = s.dp - s.w_pos[:, None] * s.dp, s.dv - s.w_vel[:, None] * s.dv
-    pos[~s.pos_valid], vel[~s.vel_valid] = 0.0, 0.0
-    # bincount sums start at +0.0, never -0.0, so a zeroed guard row changes no bit.
-    sum_pos, sum_vel = _segment_sums(receivers, pos, n), _segment_sums(receivers, vel, n)
-    cnt_pos = np.bincount(receivers, weights=s.pos_valid, minlength=n)
-    cnt_vel = np.bincount(receivers, weights=s.vel_valid, minlength=n)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        agent_mean_pos = np.where(cnt_pos[:, None] > 0, sum_pos / cnt_pos[:, None], np.nan)
-        agent_mean_vel = np.where(cnt_vel[:, None] > 0, sum_vel / cnt_vel[:, None], np.nan)
+    rows, means = [], []
+    for d, w, valid in ((s.dp, s.w_pos, s.pos_valid), (s.dv, s.w_vel, s.vel_valid)):
+        res, count = w * d, s.graph.in_degrees()
+        np.subtract(d, res, out=res)
+        if not valid.all():
+            # bincount sums start at +0.0, never -0.0, so a zeroed guard column changes no bit.
+            res[:, ~valid] = 0.0
+            count = np.bincount(receivers, weights=valid, minlength=n)
+        means.append(np.divide(_segment_sums(receivers, res, n), count[:, None],
+                               out=np.full((n, d.shape[0]), np.nan), where=count[:, None] > 0))
+        rows.append(res.T)
     return EdgeErrors(
         sources=s.graph.sources, receivers=receivers,
-        pos=pos, vel=vel, pos_valid=s.pos_valid, vel_valid=s.vel_valid,
-        agent_mean_pos=agent_mean_pos, agent_mean_vel=agent_mean_vel,
+        pos=rows[0], vel=rows[1], pos_valid=s.pos_valid, vel_valid=s.vel_valid,
+        agent_mean_pos=means[0], agent_mean_vel=means[1],
     )
 
 
@@ -425,7 +441,7 @@ def lyapunov_value(es: EdgeState, w: WeightedIncidence, g: InteractionGraph):
 
     def form(row_weights, x):
         """x^T (D^T kron I_m) D_w x, edge-wise."""
-        nodes = _segment_sums(g.receivers, row_weights[:, None] * x.reshape(-1, m), g.n_nodes)
+        nodes = _segment_sums(g.receivers, row_weights * x.reshape(-1, m).T, g.n_nodes)
         return float(x @ (nodes[g.receivers] - nodes[g.sources]).reshape(-1))
 
     v = 0.5 * float(es.e_dot @ es.e_dot) + 0.5 * form(1.0 - w.w_pos, es.e)

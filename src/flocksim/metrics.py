@@ -83,11 +83,11 @@ def sample_metrics(time: float, positions: np.ndarray, velocities: np.ndarray,
     m = positions.shape[1]
     snapshot = snapshot_of(positions, velocities, params) if snapshot is None else snapshot
     err = edge_errors(positions, velocities, params, snapshot)
-    with np.errstate(invalid="ignore"):
-        pos_rows = err.agent_mean_pos[~np.isnan(err.agent_mean_pos).any(axis=1)]
-        vel_rows = err.agent_mean_vel[~np.isnan(err.agent_mean_vel).any(axis=1)]
-    mean_pos, mean_vel = (np.add.reduce(rows, axis=0) / len(rows) if rows.size
-                          else np.full(m, np.nan) for rows in (pos_rows, vel_rows))
+    # Rows without NaN (every row, unless some agent has no valid in-edge).
+    rows = (a[~np.isnan(a).any(axis=1)] if np.isnan(a).any() else a
+            for a in (err.agent_mean_pos, err.agent_mean_vel))
+    mean_pos, mean_vel = (np.add.reduce(r, axis=0) / len(r) if r.size else np.full(m, np.nan)
+                          for r in rows)
     d_avg, d_min = pair_distances(positions, snapshot.distances)
     return MetricSample(
         time=float(time),

@@ -152,11 +152,11 @@ def _reference_sample(time, pos, vel, params):
     s = snapshot_of(pos, vel, params)
     n, m = pos.shape
     means = []
-    for valid, d, w in ((s.pos_valid, s.dp, s.w_pos), (s.vel_valid, s.dv, s.w_vel)):
+    for valid, d, w in ((s.pos_valid, s.dp.T, s.w_pos), (s.vel_valid, s.dv.T, s.w_vel)):
         res = d - w[:, None] * d
         res[~valid] = 0.0
         rcv = s.graph.receivers.compress(valid)
-        total = _segment_sums(rcv, res.compress(valid, axis=0), n)
+        total = _segment_sums(rcv, res.compress(valid, axis=0).T, n)
         count = np.bincount(rcv, minlength=n).astype(float)
         with np.errstate(invalid="ignore", divide="ignore"):
             agent = np.where(count[:, None] > 0, total / count[:, None], np.nan)
