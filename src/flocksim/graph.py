@@ -87,12 +87,13 @@ class InteractionGraph:
         return d
 
     def in_degrees(self) -> np.ndarray:
-        """Number of in-edges per node == |N_i| of the receiving agent."""
+        """Number of in-edges per node == |N_i| of the receiving agent; one
+        read-only array per graph."""
         return self._degrees[0]
 
     @functools.cached_property
     def _degrees(self) -> tuple[np.ndarray, np.ndarray]:
-        """(in_degrees, each edge's receiver's in-degree as a float), counted once per graph."""
+        """(in_degrees, each edge's receiver's in-degree as a float), counted once."""
         deg = np.bincount(self.receivers, minlength=self.n_nodes)
         deg.flags.writeable = False
         return deg, deg.astype(float).take(self.receivers)

@@ -88,6 +88,7 @@ def test_two_node_graph_structure():
     np.testing.assert_array_equal(g.sources, [1, 0])
     np.testing.assert_array_equal(g.receivers, [0, 1])
     np.testing.assert_array_equal(g.in_degrees(), [1, 1])
+    assert g.in_degrees() is g.in_degrees() and not g.in_degrees().flags.writeable  # counted once
     np.testing.assert_array_equal(laplacian(g), [[2.0, -2.0], [-2.0, 2.0]])
 
 
