@@ -18,8 +18,7 @@ stacked sweep cell one), the neighbor graph (a receiver-sorted edge list) and
 edge lengths taken from them, a params table and the edge terms for it.  The
 edge differences are axis-major, (m, E): each per-edge product and each
 per-receiver bincount runs on one contiguous (E,) row, and the graph counts
-its in-degrees once.  When every edge is regular (outside both guard bands),
-the guard masks are skipped.  The force kernel interaction_accelerations,
+its in-degrees once.  The force kernel interaction_accelerations,
 edge_errors, global_rhs and lyapunov_monitor read it; Snapshot.reweighted
 recomputes only the offset weights for a new table.  Products and quadratic
 forms are evaluated edge-wise at every n; only stability_matrices forms
@@ -89,14 +88,18 @@ class InteractionGraph:
     def in_degrees(self) -> np.ndarray:
         """Number of in-edges per node == |N_i| of the receiving agent; one
         read-only array per graph."""
-        return self._degrees[0]
+        return self._in_degrees
 
     @functools.cached_property
-    def _degrees(self) -> tuple[np.ndarray, np.ndarray]:
-        """(in_degrees, each edge's receiver's in-degree as a float), counted once."""
+    def _in_degrees(self) -> np.ndarray:
         deg = np.bincount(self.receivers, minlength=self.n_nodes)
         deg.flags.writeable = False
-        return deg, deg.astype(float).take(self.receivers)
+        return deg
+
+    @functools.cached_property
+    def receiver_degrees(self) -> np.ndarray:
+        """(E,) float in-degree of each edge's receiver, gathered once."""
+        return self.in_degrees().astype(float).take(self.receivers)
 
 
 @dataclass(frozen=True)
@@ -162,17 +165,12 @@ class Snapshot(NamedTuple):
     def reweighted(self, params) -> Snapshot:
         """This snapshot under ``params`` (same radii): new offset weights only."""
         p, receivers = agent_params(params, self.graph.n_nodes), self.graph.receivers
-        deg = self.graph._degrees[1]
-        w_pos = _where(self.pos_valid, _power(p.delta[receivers] * deg / _where(
+        deg = self.graph.receiver_degrees
+        w_pos = np.where(self.pos_valid, _power(p.delta[receivers] * deg / np.where(
             self.pos_valid, self.dp_norm, 1.0), p.alpha, receivers), 0.0)
-        w_vel = _where(self.vel_valid, _power(p.eta[receivers] / (deg * _where(
+        w_vel = np.where(self.vel_valid, _power(p.eta[receivers] / (deg * np.where(
             self.vel_valid, self.dv_norm, 1.0)), p.beta, receivers), 0.0)
         return self._replace(params=p, w_pos=w_pos, w_vel=w_vel)
-
-
-def _where(valid: np.ndarray, x: np.ndarray, fill: float) -> np.ndarray:
-    """np.where(valid, x, fill), or x itself when every edge is valid."""
-    return x if valid.all() else np.where(valid, x, fill)
 
 
 def build_graph(positions: np.ndarray, params, sizes=None) -> InteractionGraph:
@@ -312,8 +310,7 @@ def interaction_accelerations(s: Snapshot) -> np.ndarray:
         w = psi_weight(EPS_POS, float(p.delta[i]), int(g.in_degrees()[i]), float(p.alpha[i]))
         agg[:, e] = w * _tie_break_direction(i, j, m)
     ali = (1.0 - s.w_vel) * s.dv
-    if not s.vel_valid.all():
-        ali[:, ~s.vel_valid] = 0.0
+    ali[:, ~s.vel_valid] = 0.0
     total = _segment_sums(g.receivers, agg, n) + _segment_sums(g.receivers, ali, n)
     if not np.isfinite(total).all():
         i = int(np.argmax(~np.isfinite(total).all(axis=1)))
@@ -368,12 +365,11 @@ def edge_errors(positions: np.ndarray, velocities: np.ndarray, params,
     n, receivers = s.graph.n_nodes, s.graph.receivers
     rows, means = [], []
     for d, w, valid in ((s.dp, s.w_pos, s.pos_valid), (s.dv, s.w_vel, s.vel_valid)):
-        res, count = w * d, s.graph.in_degrees()
+        res, guard = w * d, ~valid
         np.subtract(d, res, out=res)
-        if not valid.all():
-            # bincount sums start at +0.0, never -0.0, so a zeroed guard column changes no bit.
-            res[:, ~valid] = 0.0
-            count = np.bincount(receivers, weights=valid, minlength=n)
+        # bincount sums start at +0.0, never -0.0, so a zeroed guard column changes no bit.
+        res[:, guard] = 0.0
+        count = s.graph.in_degrees() - np.bincount(receivers[guard], minlength=n)
         means.append(np.divide(_segment_sums(receivers, res, n), count[:, None],
                                out=np.full((n, d.shape[0]), np.nan), where=count[:, None] > 0))
         rows.append(res.T)

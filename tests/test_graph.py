@@ -99,6 +99,7 @@ def test_asymmetric_radii_graph():
     g = build_graph(pos, params)
     assert g.edges == ((1, 0), (1, 2))
     np.testing.assert_array_equal(g.in_degrees(), [1, 0, 1])
+    assert g.receiver_degrees.tolist() == [1.0, 1.0] and g.receiver_degrees.dtype == float
 
 
 @pytest.mark.parametrize("m", [2, 3])

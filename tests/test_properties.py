@@ -201,8 +201,8 @@ def _large_state(m, plant):
 @pytest.mark.parametrize("m", (2, 3))
 @pytest.mark.parametrize("plant", ("coincident", "equal-velocity", "regular"))
 def test_kernel_and_edge_errors_at_thousands_of_edges(plant, m):
-    # The guarded branch (one planted pair) and the all-regular one, at the
-    # edge counts of a large run.
+    # One planted guard pair, or every edge regular, at the edge counts of a
+    # large run.
     state, j = _large_state(m, plant)
     snap = snapshot_of(*state)
     assert snap.graph.n_edges > 2500
