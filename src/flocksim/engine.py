@@ -2,20 +2,22 @@
 
 World.params holds the per-agent gains as one table (core.AgentParams,
 an (n,) column per InteractionParams field) that every stage reads.
-run() builds one graph.Snapshot per snapshot with graph.snapshot_of():
-distances, edge list and edge terms for World.params, read by its metrics
-and by the next step; adaptation never changes radii, so it only reweighs
-it.  A step applies, in order: adaptation of the table's delta and eta
-columns (adaptive runs), force assembly (the graph layer's edge kernel,
+drive() is the one stepping loop, for a run (one segment of rows) and for
+lab.sweep's stacked cells (a segment each) alike: per snapshot it builds one
+graph.Snapshot with graph.snapshot_of() (distances, edge list and edge terms
+for World.params), hands it to its caller (run() records state and metrics
+from it) and steps on it; adaptation never changes radii, so a step only
+reweighs it.  A step applies, in order: adaptation of the table's delta and
+eta columns (adaptive runs), force assembly (the graph layer's edge kernel,
 plus target and obstacle terms in cluttered runs, or the comparison
 consensus law over the distance matrix mirrored from the snapshot's), then
 integrate(): acceleration rate clamp, semi-implicit Euler and velocity
 saturation; and energy integration when an energy block is configured,
 with a negative_energy event in the step an agent's energy drops below
 zero (energy only falls, so once per agent).  Coincident-pair events come
-from the snapshot's edge flags, so lab.sweep's stacked cells, one World
-whose snapshot has one segment of rows per cell, take the same step().
-Each stage reproduces the per-agent functions bit for bit.
+from the snapshot's edge flags, and no edge joins two segments, so each
+segment steps as its own run would.  Each stage reproduces the per-agent
+functions bit for bit.
 
 Determinism holds for a fixed (config, seed): each agent's start comes
 from its own spawned PCG64 stream (spawned_draws evaluates SeedSequence
@@ -27,7 +29,7 @@ and validated (>= 1) so existing config files load, but it selects nothing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -317,8 +319,8 @@ def step(world: World, snapshot: Snapshot | None = None) -> World:
     """Advance one dt; mutates and returns the same World.
 
     ``snapshot`` is graph.snapshot_of of the world's state and params, if
-    the caller has it (run shares it with the snapshot's metrics; lab.sweep
-    passes one with a segment per cell).  A non-finite force raises
+    the caller has it: drive() passes the one its caller saw, with a segment
+    per live run or sweep cell.  A non-finite force raises
     SimulationNumericsError before integration, naming its lowest agent; a
     non-finite state raises it after the step, naming every such agent.
     """
@@ -406,12 +408,58 @@ def empty_trajectory(config: SimConfig) -> Trajectory:
         raise ConfigError(f"cannot record {count} snapshots x {n} agents: {exc}") from exc
 
 
+def drive(world: World, sizes, visit) -> dict[int, SimulationNumericsError]:
+    """Step ``world`` to its config's n_steps: the one stepping loop.  Its rows
+    split into segments of ``sizes`` consecutive rows, a run being one and
+    each stacked lab.sweep cell one (the Cucker-Smale law spans all rows, so
+    its runs stay one segment).  At each snapshot visit(snapshot, live) sees
+    snapshot_of the world with the live segments' sizes and ``live``, their
+    ids (indices into ``sizes``) in row order, an array replaced only when
+    one fails; then step() advances the world on that snapshot.  A
+    SimulationNumericsError fails each segment owning one of its agents: its
+    rows, params and energies leave the world (config n follows the row
+    count), and the others go on; after a force failure the same state is
+    snapshot and visited again without them, and the step retried.  Returns
+    {id: error} per failed segment: the step error's index, cause and
+    traceback, naming the segment's agents numbered within it."""
+    live, sizes = np.arange(len(sizes)), np.asarray(sizes)
+    failed = {}
+    while live.size:
+        snap = snapshot_of(world.positions, world.velocities, world.params,
+                           sizes=tuple(sizes.tolist()))
+        visit(snap, live)
+        if world.step_index == world.config.n_steps:
+            break
+        try:
+            step(world, snap)
+        except SimulationNumericsError as exc:
+            starts, agents = np.cumsum(sizes) - sizes, np.array(exc.agents)
+            owner = np.searchsorted(starts, agents, side="right") - 1
+            for k in np.unique(owner).tolist():
+                own = (agents[owner == k] - starts[k]).tolist()
+                err = SimulationNumericsError(exc.step_index, *own)
+                err.__cause__, err.__traceback__ = exc.__cause__, exc.__traceback__
+                failed[int(live[k])] = err
+            keep = np.bincount(owner, minlength=live.size) == 0
+            rows = np.repeat(keep, sizes)
+            live, sizes = live[keep], sizes[keep]
+            world.positions, world.velocities = world.positions[rows], world.velocities[rows]
+            world.params = AgentParams(*(col[rows] for col in world.params))
+            if world.energies is not None:
+                world.energies = world.energies[rows]
+            if live.size:
+                world.config = replace(world.config, n=int(sizes.sum()))
+    return failed
+
+
 def run(config: SimConfig) -> Trajectory:
-    """Execute n_steps steps, recording state and metrics at every snapshot."""
+    """Execute n_steps steps, recording state and metrics at every snapshot:
+    drive() of one segment, raising its error if it fails."""
     traj = empty_trajectory(config)  # first: it refuses what validate refuses, before any seeding
     world = initialize(config)
 
-    def record(k: int):
+    def record(snap: Snapshot, live):
+        k = world.step_index
         traj.times[k] = world.time
         traj.positions[k] = world.positions
         traj.velocities[k] = world.velocities
@@ -420,14 +468,11 @@ def run(config: SimConfig) -> Trajectory:
             traj.etas[k] = world.params.eta
         if traj.energies is not None:
             traj.energies[k] = world.energies
-        snap = snapshot_of(world.positions, world.velocities, world.params)
         traj.metrics.append(metrics_mod.sample_metrics(
             world.time, world.positions, world.velocities, world.params, snap))
-        return snap
 
-    snapshot = record(0)
-    for k in range(1, config.n_steps + 1):
-        step(world, snapshot)
-        snapshot = record(k)
+    failed = drive(world, (config.n,), record)
+    if failed:
+        raise failed[0]
     traj.events = world.events
     return traj

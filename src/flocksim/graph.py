@@ -13,18 +13,18 @@ per-agent law does not contain; the in-edge restriction makes the global
 product reproduce the per-agent sums exactly (see global_rhs).
 
 A Snapshot (snapshot_of) is one state's record: pairwise distances (each pair
-i < j within a segment of rows once, row by row; a run is one segment, each
-stacked sweep cell one), the neighbor graph (a receiver-sorted edge list) and
-edge lengths taken from them, a params table and the edge terms for it.  The
-edge differences are axis-major, (m, E): each per-edge product and each
-per-receiver bincount runs on one contiguous (E,) row, and the graph counts
-its in-degrees once.  The force kernel interaction_accelerations,
+i < j within a segment of rows once, row by row; engine.drive steps a run as
+one segment, a sweep as one per cell), the neighbor graph (a receiver-sorted
+edge list) and edge lengths taken from them, a params table and the edge terms
+for it.  The edge differences are axis-major, (m, E): each per-edge product and
+each per-receiver bincount runs on one contiguous (E,) row, and the graph
+counts its in-degrees once.  The force kernel interaction_accelerations,
 edge_errors, global_rhs and lyapunov_monitor read it; Snapshot.reweighted
 recomputes only the offset weights for a new table.  Products and quadratic
-forms are evaluated edge-wise at every n; only stability_matrices forms
-dense (Kronecker) matrices, kept as the reference for tests.  The kernel and
-the distances reproduce the per-agent core functions bit for bit.  The
-monitor's spanning-tree check is NumPy reachability.
+forms are evaluated edge-wise at every n; only stability_matrices forms dense
+(Kronecker) matrices, kept as the reference for tests.  The kernel and the
+distances reproduce the per-agent core functions bit for bit.  The monitor's
+spanning-tree check is NumPy reachability.
 """
 
 from __future__ import annotations

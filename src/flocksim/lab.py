@@ -20,10 +20,8 @@ import numpy as np
 from .cognition import AdaptationParams, EnergyState
 from .core import (AgentParams, CuckerSmaleParams, InteractionParams, agent_params, check_fields,
                    schema)
-from .engine import (ConfigError, SimConfig, SimulationNumericsError, Trajectory, World,
-                     initialize, spawned_draws, step)
+from .engine import ConfigError, SimConfig, Trajectory, World, drive, initialize, spawned_draws
 from .environment import ObstacleSpec, TargetSpec
-from .graph import snapshot_of
 from .metrics import aggregation_radius, alignment_score
 
 # Upper init-range bound for large populations; below 50 agents the
@@ -184,74 +182,20 @@ def preset(name: str) -> ScenarioPreset:
         ) from None
 
 
-class _CellStack:
-    """Sweep cells stacked row-wise in grid order, as one World whose
-    config has the spec's dt and duration and n equal to its live row
-    count: stacked cell k is grid cell ids[k] (its index in ``cells``) and
-    owns rows starts[k]:starts[k] + sizes[k] of the world's positions,
-    velocities and every params column.  A snapshot of the world with
-    ``sizes`` as its segments (graph.build_graph) has no pair across cells,
-    and cell k's n(n - 1)/2 distances start at segments[k].  Each (n, seed)
-    start is initialized once (delta and eta only fill a cell's params), from
-    one spawned_draws per seed at the largest n: its first n rows are the
-    n-agent draw."""
-
-    def __init__(self, cells: list[tuple], spec: SweepSpec):
-        draws = [spawned_draws(seed, max(spec.ns), 4) for seed in range(spec.seeds)]
-        firsts = {(n, seed): initialize(SimConfig(n, spec.duration, dt=spec.dt, seed=seed,
-                                                  init_pos_range=(0.0, init_upper_for(n))),
-                                        draws[seed])
-                  for n, seed in product(set(spec.ns), range(spec.seeds))}
-        self.ids = np.arange(len(cells))
-        self.sizes = np.array([n for _, n, _, _ in cells], dtype=int)  # (eta, n, delta, seed)
-        self.world = World(
-            SimConfig(n=int(self.sizes.sum()), duration=spec.duration, dt=spec.dt),
-            np.concatenate([firsts[n, seed].positions for _, n, _, seed in cells]),
-            np.concatenate([firsts[n, seed].velocities for _, n, _, seed in cells]),
-            AgentParams(*map(np.concatenate, zip(*(
-                agent_params(InteractionParams(delta=delta, eta=eta), n)
-                for eta, n, delta, _ in cells)))), None)
-        self._index()
-
-    def _index(self):
-        self.starts = np.cumsum(self.sizes) - self.sizes
-        counts = self.sizes * (self.sizes - 1) // 2
-        self.segments = np.cumsum(counts) - counts
-
-    def drop(self, exc: SimulationNumericsError, failures: dict) -> None:
-        """Fail each cell owning one of the stacked rows ``exc.agents`` at its
-        first such row, numbered within the cell as its own run would, and
-        remove the cell's rows from the stack."""
-        cells, first = np.unique(np.searchsorted(self.starts, exc.agents, side="right") - 1,
-                                 return_index=True)
-        for k, row in zip(cells.tolist(), np.array(exc.agents)[first].tolist()):
-            failures[int(self.ids[k])] = SimulationNumericsError(
-                exc.step_index, row - int(self.starts[k]))
-        keep = np.ones(self.ids.shape[0], dtype=bool)
-        keep[cells] = False
-        kept_rows = np.repeat(keep, self.sizes)
-        self.ids, self.sizes = self.ids[keep], self.sizes[keep]
-        w = self.world
-        w.positions, w.velocities = w.positions[kept_rows], w.velocities[kept_rows]
-        w.params = AgentParams(*(col[kept_rows] for col in w.params))
-        if self.ids.size:
-            w.config = dataclasses.replace(w.config, n=int(self.sizes.sum()))
-        self._index()
-
-
 def sweep(spec: SweepSpec) -> tuple[list[SweepRow], list[str]]:
     """Run the full grid; failed cells are recorded and skipped.
 
     Every cell starts from engine.initialize of its n and seed (one raw
-    draw per seed), with its own delta and eta; then all cells, which share
-    dt and duration, advance in lockstep as one World in grid order.  Each
-    snapshot is the graph.Snapshot of the stack, a segment per cell (each
-    pair within a cell once; a cell's minimum pair distance reduces its
-    part), and engine.step advances the stack on it as on a single run.
-    Rows and failure messages are byte-identical to one engine.run per cell.
-    A cell whose forces or state turn non-finite fails at that step, naming
-    its own agent index, and leaves the stack; the others go on (after a
-    force failure, the same step again without that cell).
+    draw per seed at the largest n, whose first n rows are the n-agent
+    draw), with its own delta and eta.  The cells, which share dt and
+    duration, are stacked in grid order into one World, a segment of rows
+    per cell, and engine.drive steps it as it steps a run, which is one
+    segment: the same snapshots (each pair within a cell once, none across
+    cells) and the same engine.step.  At each snapshot each live cell's
+    minimum pair distance reduces its part of the distances.  Rows and
+    failure messages are byte-identical to one engine.run per cell: a cell
+    whose forces or state turn non-finite fails with its own run's error
+    and leaves the stack, and the others go on.
 
     Cell order (and therefore row and failure order) is eta-major, then
     n, then delta, then seed.  ConfigError, before any cell exists, if the
@@ -266,34 +210,44 @@ def sweep(spec: SweepSpec) -> tuple[list[SweepRow], list[str]]:
         raise ConfigError(f"cannot hold a sweep of {runs * len(spec.ns)} cells: it needs at "
                           f"least {need} bytes, the machine has {have}")
     cells = list(product(spec.etas, spec.ns, spec.deltas, range(spec.seeds)))
-    stack = _CellStack(cells, spec)
-    world = stack.world
+    draws = [spawned_draws(seed, max(spec.ns), 4) for seed in range(spec.seeds)]
+    firsts = {(n, seed): initialize(SimConfig(n, spec.duration, dt=spec.dt, seed=seed,
+                                              init_pos_range=(0.0, init_upper_for(n))),
+                                    draws[seed])
+              for n, seed in product(set(spec.ns), range(spec.seeds))}
+    sizes = np.array([n for _, n, _, _ in cells], dtype=int)
+    world = World(
+        SimConfig(n=int(sizes.sum()), duration=spec.duration, dt=spec.dt),
+        np.concatenate([firsts[n, seed].positions for _, n, _, seed in cells]),
+        np.concatenate([firsts[n, seed].velocities for _, n, _, seed in cells]),
+        AgentParams(*map(np.concatenate, zip(*(
+            agent_params(InteractionParams(delta=delta, eta=eta), n)
+            for eta, n, delta, _ in cells)))), None)
     d_min = np.full(len(cells), np.inf)
-    failed: dict[int, SimulationNumericsError] = {}
-    while stack.ids.size:
-        snap = snapshot_of(world.positions, world.velocities, world.params,
-                           sizes=tuple(stack.sizes.tolist()))
-        np.minimum.at(d_min, stack.ids, np.minimum.reduceat(snap.distances, stack.segments))
-        if world.step_index == world.config.n_steps:
-            break
-        try:
-            step(world, snap)
-        except SimulationNumericsError as exc:
-            stack.drop(exc, failed)
+    live = first_pairs = None
 
-    start = dict(zip(stack.ids.tolist(), stack.starts.tolist()))
+    def reduce_d_min(snap, ids):
+        # Live cell k's distances start at first_pairs[k]; ids change only when a cell fails.
+        nonlocal live, first_pairs
+        if ids is not live:
+            counts = sizes[ids] * (sizes[ids] - 1) // 2
+            live, first_pairs = ids, np.cumsum(counts) - counts
+        np.minimum.at(d_min, ids, np.minimum.reduceat(snap.distances, first_pairs))
+
+    failed = drive(world, sizes, reduce_d_min)
     rows: list[SweepRow] = []
     failures: list[str] = []
+    lo = 0  # the live cells' rows stay in grid order
     for c, (eta, n, delta, seed) in enumerate(cells):
         if c in failed:
             failures.append(f"eta={eta} n={n} delta={delta} seed={seed}: {failed[c]}")
             continue
-        lo = start[c]
         r_agg = aggregation_radius(world.positions[lo:lo + n])
         rows.append(SweepRow(
             eta=eta, n=n, seed=seed, h_final=alignment_score(world.velocities[lo:lo + n]),
             r_agg_final=r_agg, d_min_overall=float(d_min[c]),
             aggregation_lost=r_agg > spec.breakdown_radius, delta=delta))
+        lo += n
     return rows, failures
 
 
@@ -363,7 +317,7 @@ def _load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except ValueError as exc:  # JSONDecodeError, or an int literal past Python's digit limit
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, int too long, nesting too deep
         raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
 
 

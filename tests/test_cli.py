@@ -108,6 +108,20 @@ def test_integer_literal_past_the_digit_limit_is_not_valid_json(tmp_path, capsys
     assert captured.err.count("\n") == 1 and captured.out == ""
 
 
+@pytest.mark.parametrize("command, head, tail", [("validate", '{"n": ', "}"), ("sweep", "", "")],
+                         ids=["validate", "sweep"])
+def test_nesting_past_the_recursion_limit_is_not_valid_json(tmp_path, capsys, command, head,
+                                                            tail):
+    # json.load raises RecursionError on lists nested past the interpreter's recursion limit.
+    path = tmp_path / "doc.json"
+    path.write_text(head + "[" * 200_000 + "]" * 200_000 + tail, encoding="utf-8")
+    assert main([command, str(path)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith(
+        f"config error: {path}: not valid JSON: maximum recursion depth exceeded")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+
+
 def test_validate_missing_file_exits_3(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "nope.json")]) == EXIT_IO
     assert "i/o failure" in capsys.readouterr().err

@@ -10,6 +10,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from flocksim import (
     AdaptationParams,
@@ -34,6 +36,7 @@ from flocksim.cognition import (
 )
 from flocksim.core import (
     EPS_POS,
+    PairNumericsError,
     all_neighborhoods,
     cucker_smale_acceleration,
     interaction_acceleration,
@@ -44,6 +47,7 @@ from flocksim.engine import Event, spawned_draws
 from flocksim.environment import extended_acceleration
 from flocksim.lab import list_presets, preset
 from flocksim.metrics import sample_metrics
+from strategies import fixed, states
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +388,36 @@ def test_non_finite_state_raises():
     assert (exc.value.step_index, exc.value.agent) == (1, 1)
 
 
+def test_run_raises_the_error_of_its_failing_step(monkeypatch):
+    # engine.run raises what stepping its world by hand raises: the same type,
+    # message, step, every non-finite agent and cause, for a state failure
+    # naming several agents and for a force failure.
+    real = engine.integrate
+
+    def integrate(positions, velocities, acc, params, dt):
+        positions, velocities = real(positions, velocities, acc, params, dt)
+        velocities[positions[:, 0] > 9.0] = np.nan
+        return positions, velocities
+
+    monkeypatch.setattr(engine, "integrate", integrate)
+    errors = []
+    for cfg in (SimConfig(n=10, duration=1.0, seed=2),
+                SimConfig(n=5, duration=1.0, params=InteractionParams(alpha=400.0, delta=3.0))):
+        world = initialize(cfg)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SimulationNumericsError) as want:
+                for _ in range(cfg.n_steps):
+                    step(world)
+            with pytest.raises(SimulationNumericsError) as got:
+                run(cfg)
+        want, got = want.value, got.value
+        assert (type(got), str(got), got.step_index, got.agents, type(got.__cause__)) == (
+            type(want), str(want), want.step_index, want.agents, type(want.__cause__))
+        errors.append(got)
+    assert len(errors[0].agents) >= 2 and errors[0].__cause__ is None
+    assert isinstance(errors[1].__cause__, PairNumericsError)
+
+
 # ---------------------------------------------------------------------------
 # Recorded trajectories
 
@@ -504,7 +538,9 @@ def _reference_step(world, params, warned):
         params = adapted
     for a in range(n):
         for b in range(a + 1, n):
-            if np.linalg.norm(world.positions[a] - world.positions[b]) < EPS_POS:
+            # Logged where an impulse applies: on a pair that is an edge in some direction.
+            if (np.linalg.norm(world.positions[a] - world.positions[b]) < EPS_POS
+                    and (b in nbrs[a].members or a in nbrs[b].members)):
                 world.events.append(Event(
                     step=world.step_index + 1, time=world.time, kind="coincident_pair",
                     agents=(a, b), detail="separation impulse applied"))
@@ -617,30 +653,32 @@ def test_run_reproduces_per_agent_reference_at_benchmark_scale():
         init_vel_range=(-1.0, 1.0), params=InteractionParams(delta=1.0, eta=3.0, radius=10.0)))
 
 
-def test_step_alone_reproduces_per_agent_reference():
-    # step(world) without a shared snapshot, on hand-made states: coincident
-    # pairs, per-agent radii (directed neighborhoods), 3-D, speed cap, and
-    # the consensus law at gamma 0, 0.5, 1 and 2.
-    rng = np.random.default_rng(77)
-    for trial in range(16):
-        n, m = int(rng.integers(3, 12)), 2 + trial % 2
-        params = tuple(InteractionParams(delta=float(rng.uniform(0.2, 2.0)),
-                                         eta=float(rng.uniform(0.5, 6.0)),
-                                         radius=float(rng.uniform(2.0, 8.0)), v_max=2.0)
-                       for _ in range(n))
-        cs = CuckerSmaleParams(gamma=(0.0, 0.5, 1.0, 2.0)[trial % 4]) if trial >= 12 else None
-        cfg = SimConfig(n=n, m=m, duration=1.0, seed=trial, params=params, cucker_smale=cs)
-        a, b = initialize(cfg), initialize(cfg)
-        plist = cfg.params_list()
-        for w in (a, b):
-            w.positions[1] = w.positions[0]
-            w.velocities *= 3.0
-        for _ in range(5):
-            step(a)
-            plist = _reference_step(b, plist, set())
-            assert a.positions.tobytes() == b.positions.tobytes()
-            assert a.velocities.tobytes() == b.velocities.tobytes()
-        assert a.events == b.events and a.events
+@fixed(60)
+@given(states(huge=False), st.data())
+def test_step_alone_reproduces_per_agent_reference(state, data):
+    # Five step(world) calls without a shared snapshot, on the guard-band
+    # states of strategies.py (per-agent radii, i.e. directed neighborhoods,
+    # delta, eta and exponents; 2-D and 3-D), with a coincident pair planted,
+    # velocities tripled past the speed cap or not, and the consensus law at
+    # gamma 0, 0.5, 1 and 2 or the offset law.
+    n, m = state.positions.shape
+    i, j = data.draw(st.permutations(range(n)))[:2]
+    gamma = data.draw(st.sampled_from((None, 0.0, 0.5, 1.0, 2.0)))
+    cfg = SimConfig(n=n, m=m, duration=1.0, params=tuple(state.params),
+                    cucker_smale=None if gamma is None else CuckerSmaleParams(gamma=gamma))
+    speed = data.draw(st.sampled_from((1.0, 3.0)))
+    a, b = initialize(cfg), initialize(cfg)
+    for w in (a, b):
+        w.positions = state.positions.copy()
+        w.positions[j] = w.positions[i]
+        w.velocities = state.velocities * speed
+    plist = cfg.params_list()
+    for _ in range(5):
+        step(a)
+        plist = _reference_step(b, plist, set())
+        assert a.positions.tobytes() == b.positions.tobytes()
+        assert a.velocities.tobytes() == b.velocities.tobytes()
+    assert a.events == b.events and a.events
 
 
 def test_each_snapshot_computes_its_edge_terms_once(monkeypatch):

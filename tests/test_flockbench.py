@@ -43,3 +43,21 @@ def test_tracer_targets_resolve():
                if not callable(getattr(importlib.import_module(module), attr, None))]
     assert missing == []
     assert isinstance(graph.DENSE_NODE_LIMIT, int)
+
+
+@pytest.mark.parametrize("name", ["large-flock", "small-sweep", "nav-adapt-pipeline"])
+def test_tracer_sees_every_step_and_snapshot_at_tiny_size(tmp_path, name):
+    # The tracer patches module attributes; a stepping loop that reached
+    # engine.step or metrics.sample_metrics any other way would read 0 calls.
+    tracing = _load("tracing")
+    workload = _load("workloads").make(name, 1, tiny=True, work_dir=tmp_path)
+    tracer = tracing.Tracer()
+    with tracer.traced(0):
+        result = workload.run_once()
+    workload.cleanup(result)
+    calls = {span: t["calls"] for span, t in tracer.layer_times().items()}
+    steps = {"large-flock": 3, "small-sweep": 5, "nav-adapt-pipeline": 20}[name]
+    assert calls["engine.step"] == steps
+    if name != "small-sweep":  # a sweep samples no metrics
+        assert calls["metrics.sample_metrics"] == steps + 1
+    assert tracing.leftover_wrappers() == []

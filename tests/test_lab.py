@@ -31,7 +31,7 @@ from flocksim import (
     sweep,
 )
 from flocksim import engine, graph, lab
-from flocksim.core import PairNumericsError
+from flocksim.core import AgentParams, PairNumericsError
 from flocksim.engine import SimulationNumericsError
 from flocksim.lab import (
     config_from_dict,
@@ -321,25 +321,96 @@ def test_sweep_initializes_each_start_once(monkeypatch):
     assert len(rows) + len(failures) == 3 * 4 * 3 * 3
 
 
-def test_cell_stack_pairs_follow_drops():
-    # The pairs of the stack's segments (one per cell) and each cell's first
-    # pair follow the cells that leave the stack, down to an empty stack.
-    spec = SweepSpec(etas=(1.0, 2.0), ns=(3, 2, 4), seeds=2, duration=1.0)
-    cells = list(product(spec.etas, spec.ns, spec.deltas, range(spec.seeds)))
-    stack = lab._CellStack(cells, spec)
-    failed = {}
-    while True:
-        sizes = stack.sizes.tolist()
-        pairs, want = graph._upper_pairs(tuple(sizes)), cell_pairs(sizes)
+def _cell_configs(spec):
+    """The config of each cell of ``spec``'s grid, in grid order, as its own run."""
+    return [SimConfig(n=n, duration=spec.duration, dt=spec.dt, seed=seed,
+                      init_pos_range=(0.0, init_upper_for(n)),
+                      params=InteractionParams(delta=delta, eta=eta))
+            for eta, n, delta, seed in product(spec.etas, spec.ns, spec.deltas, range(spec.seeds))]
+
+
+def _stacked_world(configs):
+    """One World of the configs' starts, rows stacked in order, as lab.sweep stacks its cells."""
+    worlds = [engine.initialize(cfg) for cfg in configs]
+    return engine.World(dataclasses.replace(configs[0], n=sum(cfg.n for cfg in configs)),
+                        np.concatenate([w.positions for w in worlds]),
+                        np.concatenate([w.velocities for w in worlds]),
+                        AgentParams(*map(np.concatenate, zip(*(w.params for w in worlds)))), None)
+
+
+def test_drive_pairs_follow_failed_segments(monkeypatch):
+    # The stacked snapshot's pairs, each live cell's part of its distances and
+    # of the world's rows follow the segments that fail, down to an empty
+    # stack.  The step fails the first and last agent of every other live
+    # segment, so each error names two agents, numbered within its cell.
+    configs = _cell_configs(SweepSpec(etas=(1.0, 2.0), ns=(3, 2, 4), seeds=2, duration=1.0))
+    starts = [engine.initialize(cfg) for cfg in configs]
+    sizes = np.array([cfg.n for cfg in configs])
+    world, seen = _stacked_world(configs), []
+
+    def visit(snap, live):
+        n = sizes[live]
+        pairs, want = graph._upper_pairs(tuple(n.tolist())), cell_pairs(n.tolist())
         assert pairs.shape == want.shape and pairs.tobytes() == want.tobytes()
-        counts = [n * (n - 1) // 2 for n in sizes]
-        assert stack.segments.tolist() == np.cumsum([0] + counts)[:-1].tolist()
-        assert stack.world.positions.shape[0] == sum(sizes) == stack.world.params.delta.shape[0]
-        if not sizes:
-            break
-        # Fail the first agent of every other stacked cell.
-        stack.drop(SimulationNumericsError(1, *stack.starts[::2].tolist()), failed)
-    assert sorted(failed) == list(range(len(cells)))
+        assert snap.distances.shape == (pairs.shape[1],)
+        assert world.positions.shape[0] == world.config.n == n.sum() == world.params.eta.shape[0]
+        first_pair, first_row = np.cumsum(n * (n - 1) // 2) - n * (n - 1) // 2, np.cumsum(n) - n
+        for k, p, r in zip(live.tolist(), first_pair.tolist(), first_row.tolist()):
+            own, m = starts[k], configs[k].n
+            assert (snap.distances[p:p + m * (m - 1) // 2].tobytes()
+                    == graph._distances(own.positions).tobytes())
+            assert world.positions[r:r + m].tobytes() == own.positions.tobytes()
+            assert world.params.eta[r:r + m].tobytes() == own.params.eta.tobytes()
+        seen.append(live)
+
+    def fail_every_other(world, snapshot):
+        n = sizes[seen[-1]]
+        first = (np.cumsum(n) - n)[::2]
+        raise SimulationNumericsError(1, *sorted([*first.tolist(), *(first + n[::2] - 1).tolist()]))
+
+    monkeypatch.setattr(engine, "step", fail_every_other)
+    failed = engine.drive(world, sizes, visit)
+    assert [live.size for live in seen] == [12, 6, 3, 1]
+    assert sorted(failed) == list(range(len(configs)))
+    for k, exc in failed.items():
+        assert exc.agents == (0, configs[k].n - 1) and exc.step_index == 1
+        assert str(exc) == "non-finite state at step 1 for agent 0"
+
+
+def test_drive_fails_two_segments_in_one_step_as_their_own_runs(monkeypatch):
+    # One step's state failure names agents of several cells, one cell with
+    # three; force failures (delta = 1e160) come first, each retried without
+    # its cell.  Each returned error is that cell's own engine.run error:
+    # every agent, step, message and cause.
+    real = engine.integrate
+
+    def integrate(positions, velocities, acc, params, dt):
+        positions, velocities = real(positions, velocities, acc, params, dt)
+        velocities[positions[:, 0] > 9.0] = np.nan
+        return positions, velocities
+
+    monkeypatch.setattr(engine, "integrate", integrate)
+    configs = _cell_configs(SweepSpec(etas=(3.0,), ns=(10, 5, 2), deltas=(1.0, 1e160), seeds=3,
+                                      duration=1.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        failed = engine.drive(_stacked_world(configs), [cfg.n for cfg in configs],
+                              lambda snap, live: None)
+        for k, cfg in enumerate(configs):
+            try:
+                run(cfg)
+                own = None
+            except SimulationNumericsError as exc:
+                own = exc
+            got = failed.get(k)
+            assert (got is None) == (own is None), k
+            if own is not None:
+                assert (got.agents, got.step_index, str(got), type(got.__cause__)) == (
+                    own.agents, own.step_index, str(own), type(own.__cause__)), k
+    state = [exc for exc in failed.values() if exc.__cause__ is None]
+    assert len({exc.step_index for exc in state}) == 1 and len(state) >= 2
+    assert max(len(exc.agents) for exc in state) >= 3
+    assert any(isinstance(exc.__cause__, PairNumericsError) for exc in failed.values())
+    assert len(failed) < len(configs)
 
 
 def test_sweep_steps_only_through_engine_step(monkeypatch):
